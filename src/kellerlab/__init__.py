@@ -18,9 +18,8 @@ from .properties import (FAILS, HOLDS, UNDECIDED, PropertyReport,
                          StarCertificate, certificate_failure,
                          certificate_from_triangularization, chain_report,
                          check_sum_condition, conjugated_power_term,
-                         decide_star, is_keller, is_quasi_translation,
-                         is_strongly_nilpotent, strong_nilpotence_product,
-                         substituted_jacobian_sum,
+                         is_quasi_translation, is_strongly_nilpotent,
+                         strong_nilpotence_product, substituted_jacobian_sum,
                          triangularization_from_certificate,
                          verify_star_certificate)
 from .constructions import (FAMILY_KINDS, FamilySpec, GZInstance, family_certificate,

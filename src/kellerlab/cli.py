@@ -17,30 +17,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import serialize
 from .constructions import FAMILY_KINDS, FamilySpec, gz_example, gz_verify, make_family
 from .identities import IDENTITY_NAMES, verify_identity
 from .polymap import PolyMap, plus_identity
-from .properties import (CHAIN_CONDITIONS, FAILS, HOLDS, PropertyReport,
-                         certificate_failure, chain_report)
+from .properties import CHAIN_CONDITIONS, FAILS, HOLDS, certificate_failure, chain_report
 
-CHECK_NAMES = {
-    "keller": "keller",
-    "nilpotent": "nilpotent",
-    "strong-nilpotent": "strong_nilpotent",
-    "quasi": "quasi",
-    "jc": "jc",
-    "jc-plus": "jc_plus",
-    "jc-minus": "jc_minus",
-    "star": "star",
-    "doublestar": "doublestar",
-    "triplestar": "triplestar",
-}
+# command-line spelling of each condition: jc-plus for jc_plus
+CHECK_NAMES = {c.replace("_", "-"): c for c in CHAIN_CONDITIONS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,14 +84,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("KELLER_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_analyze(args) -> int:
     try:
         family = _load_map(args.map)
@@ -116,19 +95,12 @@ def cmd_analyze(args) -> int:
         wanted = list(CHAIN_CONDITIONS)
     else:
         try:
-            wanted = [CHECK_NAMES[c.strip()] for c in args.checks.split(",") if c.strip()]
+            wanted = list(dict.fromkeys(
+                CHECK_NAMES[c.strip()] for c in args.checks.split(",") if c.strip()))
         except KeyError as exc:
             print(f"error: unknown check {exc.args[0]!r}", file=sys.stderr)
             return 2
-    threads = _thread_count()
-    report = PropertyReport()
-    if threads > 1 and len(wanted) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda c: chain_report(f_map, checks=[c]), wanted))
-        for part in partials:
-            report.merge(part)
-    else:
-        report = chain_report(f_map, checks=wanted)
+    report = chain_report(f_map, checks=wanted)
     payload = serialize.dumps(serialize.report_to_json(report))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -150,10 +122,10 @@ def cmd_certify(args) -> int:
         family = _load_map(args.map)
         with open(args.cert, "r", encoding="utf-8") as handle:
             cert = serialize.certificate_from_json(json.load(handle), family.field)
+        failure = certificate_failure(family, cert, level=args.level)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    failure = certificate_failure(family, cert, level=args.level)
     level = args.level or cert.level
     if failure is None:
         print(f"certificate verifies at level {level}")

@@ -22,7 +22,10 @@ negative: the verdict is holds only when an inverse is exhibited.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .exactfield import Field, Scalar
@@ -38,14 +41,12 @@ __all__ = [
     "UNDECIDED",
     "PropertyReport",
     "StarCertificate",
-    "is_keller",
     "is_quasi_translation",
     "substituted_jacobian_sum",
     "strong_nilpotence_product",
     "check_sum_condition",
     "verify_sum_witness",
     "is_strongly_nilpotent",
-    "decide_star",
     "verify_star_certificate",
     "certificate_failure",
     "triangularization_from_certificate",
@@ -111,48 +112,46 @@ class PropertyReport:
 
 # -- basic map-level checks -------------------------------------------------
 
-def is_keller(map_: PolyMap) -> bool:
-    """det JF is a nonzero constant."""
-    if not map_.is_square:
-        raise ValueError("Keller check needs a square map")
-    det = matrix_det(jacobian(map_))
-    return det.is_constant() and not det.is_zero()
+def _quasi_residual(h: PolyMap) -> PolyMap:
+    """H(x - H) - H, which is zero exactly when x + H is a quasi-translation."""
+    return map_compose(h, PolyMap.identity(h.field, h.nvars) - h) - h
 
 
 def is_quasi_translation(map_: PolyMap) -> bool:
     """F = x + H with H(x - H) = H, equivalently (x+H) o (x-H) = x."""
-    h = nonlinear_part(map_)
-    x_minus_h = PolyMap.identity(map_.field, map_.nvars) - h
-    image = map_compose(h, x_minus_h)
-    return image == h
+    return _quasi_residual(nonlinear_part(map_)).is_zero()
 
 
 # -- sums and products of substituted Jacobians ------------------------------
 
-def _fresh_substitution(n: int, block: int, total: int):
+def _fresh_substitution(n: int, block: int):
     """Variable mapping sending x_j to the j-th coordinate of point `block`."""
     return [n + block * n + j for j in range(n)]
 
 
-def substituted_jacobian_sum(map_: PolyMap, count: int) -> PolyMatrix:
-    """Sum of JF at `count` tuples of fresh indeterminates.
+def _fresh_copies(jac: PolyMatrix, count: int, combine) -> PolyMatrix:
+    """Fold `combine` over copies of `jac` at `count` tuples of fresh indeterminates.
 
     The result lives in n + count*n variables: the original ones followed by
     the points v_1, ..., v_count in a fixed order.
     """
+    n = jac.nvars
+    total = n + count * n
+    acc = None
+    for b in range(count):
+        mapping = _fresh_substitution(n, b)
+        block = jac.map_entries(lambda e: rename_variables(e, mapping, total))
+        acc = block if acc is None else combine(acc, block)
+    return acc
+
+
+def substituted_jacobian_sum(map_: PolyMap, count: int) -> PolyMatrix:
+    """Sum of JF at `count` tuples of fresh indeterminates, in n + count*n variables."""
     if not map_.is_square:
         raise ValueError("Jacobian sums need a square map")
     if count < 1:
         raise ValueError("need at least one substitution point")
-    n = map_.nvars
-    total = n + count * n
-    jac = jacobian(map_)
-    acc = None
-    for b in range(count):
-        mapping = _fresh_substitution(n, b, total)
-        block = jac.map_entries(lambda e: rename_variables(e, mapping, total))
-        acc = block if acc is None else acc + block
-    return acc
+    return _fresh_copies(jacobian(map_), count, operator.add)
 
 
 def _univariate_rational_roots(poly: MultiPoly):
@@ -173,7 +172,7 @@ def _univariate_rational_roots(poly: MultiPoly):
         return [Fraction(0)] if low > 0 else []
     denom_lcm = 1
     for c in coeffs.values():
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
     ints = {e: int(c * denom_lcm) for e, c in coeffs.items()}
     lead = ints[deg]
     const = ints[0]
@@ -185,12 +184,6 @@ def _univariate_rational_roots(poly: MultiPoly):
                 if val == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -205,7 +198,7 @@ def _divisors(n):
     return sorted(out)
 
 
-def _point_witness(map_: PolyMap, det: MultiPoly, count: int):
+def _point_witness(jf: PolyMatrix, det: MultiPoly, count: int):
     """Search for concrete points where the summed-Jacobian determinant is 0.
 
     Pattern: repeat a unit point e_m and perturb the last point to
@@ -213,8 +206,8 @@ def _point_witness(map_: PolyMap, det: MultiPoly, count: int):
     univariate in s.  A rational root gives a base-field witness; a rootless
     quadratic gives a witness in the corresponding quadratic extension.
     """
-    n = map_.nvars
-    field = map_.field
+    n = jf.nvars
+    field = jf.field
     total = n + count * n
     if det.is_zero():
         zero = field.zero()
@@ -273,11 +266,14 @@ def _pattern_points(field: Field, n: int, count: int, m: int, j: int, s_value: S
 
 def verify_sum_witness(map_: PolyMap, field: Field, points) -> bool:
     """Re-run the determinant at the witness points; must be exactly zero."""
-    n = map_.nvars
-    jac = jacobian(map_)
+    return _sum_vanishes_at(jacobian(map_), field, points)
+
+
+def _sum_vanishes_at(jf: PolyMatrix, field: Field, points) -> bool:
+    n = jf.nvars
     acc = None
     for point in points:
-        block = jac.map_entries(
+        block = jf.map_entries(
             lambda e: MultiPoly.constant(field, n, lift_to_field(e, field).evaluate(point)))
         acc = block if acc is None else acc + block
     return matrix_det(acc).is_zero()
@@ -294,15 +290,19 @@ def check_sum_condition(map_: PolyMap, count: int, label: str = "sum_condition")
         raise ValueError("sum condition needs a square map")
     if count < 1:
         raise ValueError("need at least one substitution point")
-    det = matrix_det(substituted_jacobian_sum(map_, count))
+    return _sum_condition(jacobian(map_), count, label)
+
+
+def _sum_condition(jf: PolyMatrix, count: int, label: str) -> PropertyReport:
+    det = matrix_det(_fresh_copies(jf, count, operator.add))
     report = PropertyReport()
     if det.is_constant() and not det.is_zero():
         return report.record(label, HOLDS,
                              note=f"determinant is the constant {det.constant_value()!r}")
-    found = _point_witness(map_, det, count)
+    found = _point_witness(jf, det, count)
     if found is not None:
         field, points = found
-        if not verify_sum_witness(map_, field, points):
+        if not _sum_vanishes_at(jf, field, points):
             raise ArithmeticError("witness points failed re-verification")
         witness = {"kind": "points", "field": field, "points": points}
         return report.record(label, FAILS, witness=witness,
@@ -316,25 +316,16 @@ def strong_nilpotence_product(map_: PolyMap, count: int | None = None) -> PolyMa
     """Product of JH at `count` (default n) tuples of fresh indeterminates."""
     if not map_.is_square:
         raise ValueError("strong nilpotence needs a square map")
-    n = map_.nvars
-    if count is None:
-        count = n
-    total = n + count * n
-    jac = jacobian(map_)
-    acc = None
-    for b in range(count):
-        mapping = _fresh_substitution(n, b, total)
-        block = jac.map_entries(lambda e: rename_variables(e, mapping, total))
-        acc = block if acc is None else acc @ block
-    return acc
+    return _fresh_copies(jacobian(map_), map_.nvars if count is None else count,
+                         operator.matmul)
 
 
-def _axis_zero_jacobian(map_: PolyMap, index: int) -> PolyMatrix:
-    """JH with x_index set to 0 and the other variables kept symbolic."""
-    field, n = map_.field, map_.nvars
-    assignment = [MultiPoly.zero(field, n) if i == index else MultiPoly.variable(field, n, i)
-                  for i in range(n)]
-    return jacobian(map_).substitute(assignment)
+def _axis_zero_jacobians(jac: PolyMatrix):
+    """JH with x_index set to 0 and the other variables kept symbolic, per index."""
+    field, n = jac.field, jac.nvars
+    xs = [MultiPoly.variable(field, n, i) for i in range(n)]
+    zero = MultiPoly.zero(field, n)
+    return [jac.substitute(xs[:index] + [zero] + xs[index + 1:]) for index in range(n)]
 
 
 def is_strongly_nilpotent(map_: PolyMap) -> PropertyReport:
@@ -344,24 +335,24 @@ def is_strongly_nilpotent(map_: PolyMap) -> PropertyReport:
     non-nilpotent two-factor product with single coordinates zeroed out when
     such a pair exists, otherwise a nonzero entry of the symbolic product.
     """
-    report = PropertyReport()
     if not map_.is_square:
         raise ValueError("strong nilpotence needs a square map")
-    n = map_.nvars
-    jac = jacobian(map_)
+    return _strong_nilpotence(jacobian(map_))
+
+
+def _strong_nilpotence(jac: PolyMatrix) -> PropertyReport:
+    report = PropertyReport()
+    n = jac.nvars
     if not matrix_is_nilpotent(jac):
-        power = jac.power(n)
-        entry = _first_nonzero_entry(power)
-        return report.record("strong_nilpotent", FAILS,
-                             witness={"kind": "matrix_entry", "row": entry[0],
-                                      "col": entry[1], "value": entry[2]},
+        return report.record("strong_nilpotent", FAILS, witness=_entry_witness(jac.power(n)),
                              note="Jacobian is not nilpotent")
-    product = strong_nilpotence_product(map_)
+    product = _fresh_copies(jac, n, operator.matmul)
     if product.is_zero():
         return report.record("strong_nilpotent", HOLDS)
+    zeroed = _axis_zero_jacobians(jac)
     for p in range(n):
         for q in range(n):
-            two = _axis_zero_jacobian(map_, p) @ _axis_zero_jacobian(map_, q)
+            two = zeroed[p] @ zeroed[q]
             if not matrix_is_nilpotent(two):
                 witness = {"kind": "substitution_product",
                            "factors": [f"x{p + 1}=0", f"x{q + 1}=0"],
@@ -369,38 +360,17 @@ def is_strongly_nilpotent(map_: PolyMap) -> PropertyReport:
                 return report.record("strong_nilpotent", FAILS, witness=witness,
                                      note="two substituted factors already compose to a "
                                           "non-nilpotent product")
-    entry = _first_nonzero_entry(product)
-    witness = {"kind": "matrix_entry", "row": entry[0], "col": entry[1], "value": entry[2]}
-    return report.record("strong_nilpotent", FAILS, witness=witness,
+    return report.record("strong_nilpotent", FAILS, witness=_entry_witness(product),
                          note="n-fold substituted product is nonzero")
 
 
-def _first_nonzero_entry(matrix: PolyMatrix):
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            if not matrix.entries[i][j].is_zero():
-                return i, j, matrix.entries[i][j]
+def _entry_witness(matrix: PolyMatrix) -> dict:
+    """The first nonzero entry of a matrix, in row order, as a witness."""
+    for i, row in enumerate(matrix.entries):
+        for j, value in enumerate(row):
+            if not value.is_zero():
+                return {"kind": "matrix_entry", "row": i, "col": j, "value": value}
     raise ValueError("matrix is zero")
-
-
-def decide_star(map_: PolyMap) -> PropertyReport:
-    """Decide the sum-of-powers form (*) through strong nilpotence.
-
-    Strong nilpotence is equivalent to linear triangularizability with zero
-    diagonal; with H(0) = 0 that property is in turn equivalent to (*).  For
-    H(0) != 0 only the triangularizability reading is asserted and (*) stays
-    undecided.
-    """
-    strong = is_strongly_nilpotent(map_)
-    verdict = strong.verdict("strong_nilpotent")
-    report = PropertyReport()
-    report.record("triangularizable", verdict, witness=strong.witness("strong_nilpotent"))
-    if map_.vanishes_at_origin():
-        report.record("star", verdict, witness=strong.witness("strong_nilpotent"))
-    else:
-        report.record("star", UNDECIDED,
-                      note="H(0) != 0: only the triangularizability reading is decided")
-    return report
 
 
 # -- star certificates --------------------------------------------------------
@@ -743,17 +713,51 @@ def _decide_triplestar_oracle(map_: PolyMap):
 
 # -- the aggregated chain ------------------------------------------------------
 
-def _exhibit_inverse(map_: PolyMap, cert: StarCertificate | None):
+class _MapAnalysis:
+    """The per-map objects that the checks of one chain_report call share.
+
+    Each object is built on first use, so a call restricted to one check
+    builds only what that check reads.
+    """
+
+    def __init__(self, map_: PolyMap, cert: StarCertificate | None):
+        self.map = map_
+        self.cert = cert
+        self.h = nonlinear_part(map_)
+
+    @cached_property
+    def jh(self) -> PolyMatrix:
+        return jacobian(self.h)
+
+    @cached_property
+    def jf(self) -> PolyMatrix:
+        n = self.map.nvars
+        return PolyMatrix.identity(self.map.field, n, n) + self.jh
+
+    @cached_property
+    def quasi_residual(self) -> PolyMap:
+        return _quasi_residual(self.h)
+
+    @cached_property
+    def strong(self) -> PropertyReport:
+        return _strong_nilpotence(self.jh)
+
+    @cached_property
+    def star_certified(self) -> bool:
+        return self.cert is not None and verify_star_certificate(self.h, self.cert, level="star")
+
+
+def _exhibit_inverse(shared: _MapAnalysis):
     """Try to exhibit an inverse: quasi-translation, direct triangular
     inversion, or inversion after certificate-driven triangularization."""
-    h = nonlinear_part(map_)
-    if is_quasi_translation(map_):
-        inverse = PolyMap.identity(map_.field, map_.nvars) - h
+    map_ = shared.map
+    if shared.quasi_residual.is_zero():
+        inverse = PolyMap.identity(map_.field, map_.nvars) - shared.h
         return inverse, "quasi-translation: x - H inverts x + H"
-    if jacobian(h).is_lower_triangular(strict=True):
+    if shared.jh.is_lower_triangular(strict=True):
         return invert_triangular(map_), "forward substitution on the triangular form"
-    if cert is not None and verify_star_certificate(h, cert, level="star"):
-        t_matrix = triangularization_from_certificate(cert, map_.nvars)
+    if shared.star_certified:
+        t_matrix = triangularization_from_certificate(shared.cert, map_.nvars)
         conj = conjugate(map_, t_matrix)
         inv_conj = invert_triangular(conj)
         grid = t_matrix.constant_grid()
@@ -768,11 +772,13 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
                  checks=None) -> PropertyReport:
     """Run the condition chain on F = x + H and aggregate the verdicts.
 
-    `checks` restricts the work to a subset of CHAIN_CONDITIONS.  The
-    stronger forms hold only with a verifying certificate or through the
-    desk-scale oracles, and the invertibility condition holds only when an
-    inverse is actually exhibited; neither is ever decided negative beyond
-    the sound oracles.
+    `checks` restricts the work to a subset of CHAIN_CONDITIONS.  H, JH,
+    JF = I + JH, the quasi residual H(x - H) - H and the strong-nilpotence
+    test are each computed at most once per call, and only for the checks
+    that read them.  The stronger forms hold only with a verifying
+    certificate or through the desk-scale oracles, and the invertibility
+    condition holds only when an inverse is actually exhibited; neither is
+    ever decided negative beyond the sound oracles.
     """
     if not map_.is_square:
         raise ValueError("chain analysis needs a square map F = x + H")
@@ -780,61 +786,55 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
     unknown = wanted.difference(CHAIN_CONDITIONS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    h = nonlinear_part(map_)
+    shared = _MapAnalysis(map_, cert)
+    h = shared.h
     n = map_.nvars
     report = PropertyReport()
 
     if "keller" in wanted:
-        det = matrix_det(jacobian(map_))
+        det = matrix_det(shared.jf)
         ok = det.is_constant() and not det.is_zero()
         report.record("keller", HOLDS if ok else FAILS,
                       witness=None if ok else {"kind": "symbolic_determinant",
                                                "determinant": det})
     if "nilpotent" in wanted:
-        jac_h = jacobian(h)
-        if matrix_is_nilpotent(jac_h):
+        if matrix_is_nilpotent(shared.jh):
             report.record("nilpotent", HOLDS)
         else:
-            row, col, value = _first_nonzero_entry(jac_h.power(n))
-            report.record("nilpotent", FAILS,
-                          witness={"kind": "matrix_entry", "row": row, "col": col,
-                                   "value": value},
+            report.record("nilpotent", FAILS, witness=_entry_witness(shared.jh.power(n)),
                           note="JH^n has a nonzero entry")
     if "quasi" in wanted:
-        if is_quasi_translation(map_):
+        residual = shared.quasi_residual
+        if residual.is_zero():
             report.record("quasi", HOLDS)
         else:
-            x_minus_h = PolyMap.identity(map_.field, n) - h
-            diff = map_compose(h, x_minus_h) - h
-            index = next(i for i, c in enumerate(diff.components) if not c.is_zero())
+            index = next(i for i, c in enumerate(residual.components) if not c.is_zero())
             report.record("quasi", FAILS,
                           witness={"kind": "component", "index": index,
-                                   "value": diff.components[index]},
+                                   "value": residual.components[index]},
                           note="H(x - H) - H is nonzero")
     if "jc" in wanted:
         k = max(map_.degree() - 1, 1)
-        report.merge(check_sum_condition(map_, k, label="jc"))
+        report.merge(_sum_condition(shared.jf, k, "jc"))
     if "jc_plus" in wanted:
-        report.merge(check_sum_condition(map_, n, label="jc_plus"))
-    need_strong = wanted.intersection({"strong_nilpotent", "star"})
-    if need_strong:
-        strong = is_strongly_nilpotent(h)
-        verdict = strong.verdict("strong_nilpotent")
-        if "strong_nilpotent" in wanted:
-            report.record("strong_nilpotent", verdict,
-                          witness=strong.witness("strong_nilpotent"),
-                          note=strong.notes.get("strong_nilpotent"))
-        if "star" in wanted:
-            if cert is not None and verify_star_certificate(h, cert, level="star"):
-                report.record("star", HOLDS,
-                              witness={"kind": "certificate", "certificate": cert})
-            elif h.vanishes_at_origin():
-                report.record("star", verdict, witness=strong.witness("strong_nilpotent"))
-            else:
-                report.record("star", UNDECIDED,
-                              note="H(0) != 0: only the triangularizability reading applies")
+        report.merge(_sum_condition(shared.jf, n, "jc_plus"))
+    if "strong_nilpotent" in wanted:
+        strong = shared.strong
+        report.record("strong_nilpotent", strong.verdict("strong_nilpotent"),
+                      witness=strong.witness("strong_nilpotent"),
+                      note=strong.notes.get("strong_nilpotent"))
+    if "star" in wanted:
+        if shared.star_certified:
+            report.record("star", HOLDS, witness={"kind": "certificate", "certificate": cert})
+        elif h.vanishes_at_origin():
+            strong = shared.strong
+            report.record("star", strong.verdict("strong_nilpotent"),
+                          witness=strong.witness("strong_nilpotent"))
+        else:
+            report.record("star", UNDECIDED,
+                          note="H(0) != 0: only the triangularizability reading applies")
     if "jc_minus" in wanted:
-        exhibited = _exhibit_inverse(map_, cert)
+        exhibited = _exhibit_inverse(shared)
         if exhibited is not None:
             inverse, how = exhibited
             report.record("jc_minus", HOLDS,

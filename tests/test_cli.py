@@ -87,6 +87,13 @@ def test_analyze_unknown_check(tmp_path):
     assert main(["analyze", str(map_path), "--checks", "bogus"]) == 2
 
 
+def test_analyze_repeated_check_reported_once(tmp_path, capsys):
+    _, map_path = _gen(tmp_path, "--family", "small2", "--degree", "3")
+    capsys.readouterr()
+    assert main(["analyze", str(map_path), "--checks", "keller,quasi,keller"]) == 0
+    assert capsys.readouterr().err.splitlines() == ["keller: holds", "quasi: holds"]
+
+
 def test_analyze_reports_are_byte_identical(tmp_path):
     _, map_path = _gen(tmp_path, "--family", "f666", "--degree", "2")
     first = tmp_path / "rep1.json"
@@ -165,6 +172,16 @@ def test_certify_malformed_cert(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
     assert main(["certify", str(map_path), str(bad)]) == 2
+
+
+def test_certify_dimension_mismatch_is_input_error(tmp_path, capsys):
+    _, map_path = _gen(tmp_path, "--family", "f666", "--degree", "2")
+    cert_path = _write_cert(tmp_path, FamilySpec("small3", 3))
+    capsys.readouterr()
+    assert main(["certify", str(map_path), str(cert_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "rejected" not in captured.out
 
 
 def test_verify_identity_exit_codes(capsys):

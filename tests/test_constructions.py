@@ -7,12 +7,11 @@ import pytest
 from kellerlab.exactfield import QQ
 from kellerlab.multipoly import MultiPoly, extend_variables, variables
 from kellerlab.polymap import (PolyMap, jacobian, matrix_rank, plus_identity)
-from kellerlab.properties import (FAILS, HOLDS, verify_star_certificate)
+from kellerlab.properties import (FAILS, HOLDS, chain_report, verify_star_certificate)
 from kellerlab.constructions import (FamilySpec, GZInstance,
                                      family_certificate, gz_example, gz_verify,
                                      make_family)
 from kellerlab import linalg
-from kellerlab.properties import is_keller
 
 
 def test_family_n4_explicit_form():
@@ -105,7 +104,8 @@ def test_all_families_are_keller_after_adding_identity():
                       FamilySpec("f666", d, n=3), FamilySpec("f667", d, n=d + 2)])
     for spec in specs:
         h = make_family(spec)
-        assert is_keller(plus_identity(h)), spec
+        keller = chain_report(plus_identity(h), checks=["keller"])
+        assert keller.verdict("keller") == HOLDS, spec
 
 
 def test_family_jacobians_strictly_lower_triangular():

@@ -4,23 +4,25 @@ from fractions import Fraction
 
 import pytest
 
+from kellerlab import serialize
 from kellerlab.exactfield import QQ, Field
 from kellerlab.multipoly import LinearForm, MultiPoly, lift_to_field, variables
 from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, jacobian,
                                map_compose, matrix_det, matrix_is_nilpotent,
                                plus_identity)
-from kellerlab.properties import (FAILS, HOLDS, UNDECIDED, StarCertificate,
+from kellerlab.properties import (CHAIN_CONDITIONS, FAILS, HOLDS, UNDECIDED,
+                                  PropertyReport, StarCertificate,
                                   certificate_failure,
                                   certificate_from_triangularization,
                                   chain_report, check_sum_condition,
-                                  conjugated_power_term, decide_star,
-                                  is_keller, is_quasi_translation,
+                                  conjugated_power_term, is_quasi_translation,
                                   is_strongly_nilpotent,
                                   strong_nilpotence_product,
                                   substituted_jacobian_sum,
                                   triangularization_from_certificate,
                                   verify_star_certificate, verify_sum_witness)
-from kellerlab.constructions import FamilySpec, family_certificate, make_family
+from kellerlab.constructions import (FAMILY_KINDS, FamilySpec, family_certificate,
+                                     make_family)
 
 
 def _cube_map():
@@ -28,13 +30,18 @@ def _cube_map():
     return plus_identity(PolyMap([MultiPoly.zero(QQ, 2), x1 ** 2]))
 
 
+def _verdict(f, check):
+    return chain_report(f, checks=[check]).verdict(check)
+
+
 def test_is_keller_examples():
-    assert is_keller(_cube_map())
+    assert _verdict(_cube_map(), "keller") == HOLDS
     x1, x2 = variables(QQ, 2)
-    assert not is_keller(PolyMap([x1 ** 2, x2]))
+    assert _verdict(plus_identity(PolyMap([x1 ** 2 - x1, MultiPoly.zero(QQ, 2)])),
+                    "keller") == FAILS
     f5 = plus_identity(make_family(FamilySpec("n5", 3)))
     assert matrix_det(jacobian(f5)) == MultiPoly.constant(QQ, 5, 1)
-    assert is_keller(f5)
+    assert _verdict(f5, "keller") == HOLDS
 
 
 def test_quasi_translation_examples():
@@ -104,18 +111,18 @@ def test_strongly_nilpotent_rejects_non_nilpotent_jacobian():
 
 
 def test_decide_star_examples():
-    assert decide_star(make_family(FamilySpec("f666", 2, n=6))).verdict("star") == HOLDS
-    assert decide_star(make_family(FamilySpec("n5", 3))).verdict("star") == FAILS
+    assert _verdict(plus_identity(make_family(FamilySpec("f666", 2, n=6))), "star") == HOLDS
+    assert _verdict(plus_identity(make_family(FamilySpec("n5", 3))), "star") == FAILS
     zero = PolyMap.zero(QQ, 2, 2)
-    assert decide_star(zero).verdict("star") == HOLDS
+    assert _verdict(plus_identity(zero), "star") == HOLDS
 
 
 def test_decide_star_nonzero_origin_reading():
     x1, x2 = variables(QQ, 2)
     h = PolyMap([MultiPoly.constant(QQ, 2, 1), x1 ** 2])
-    rep = decide_star(h)
+    rep = chain_report(plus_identity(h), checks=["star", "strong_nilpotent"])
     assert rep.verdict("star") == UNDECIDED
-    assert rep.verdict("triangularizable") == HOLDS
+    assert rep.verdict("strong_nilpotent") == HOLDS
 
 
 def _small2_cert(d=3):
@@ -209,7 +216,7 @@ def test_certificate_from_triangularization_round_trip():
     cert = certificate_from_triangularization(h, eye)
     assert cert.level == "star"
     assert verify_star_certificate(h, cert)
-    assert decide_star(h).verdict("star") == HOLDS
+    assert _verdict(plus_identity(h), "star") == HOLDS
 
 
 def test_certificate_from_triangularization_nontrivial_matrix():
@@ -428,3 +435,30 @@ def test_chain_report_failure_witnesses_reverify():
     diff = map_compose(h, x_minus_h) - h
     assert diff.components[comp["index"]] == comp["value"]
     assert not comp["value"].is_zero()
+
+
+def _mix_first_and_last(n):
+    """I + e_1 e_n^t - e_n e_1^t: hides a triangular form, determinant 2."""
+    grid = [[int(i == j) for j in range(n)] for i in range(n)]
+    grid[0][n - 1], grid[n - 1][0] = 1, -1
+    return PolyMatrix.from_scalars(QQ, n, grid)
+
+
+_SMALLEST = [FamilySpec(kind, 3 if kind in ("n4", "nonhomog_n4") else 2)
+             for kind in FAMILY_KINDS]
+
+
+@pytest.mark.parametrize("spec,hidden", [(spec, False) for spec in _SMALLEST]
+                         + [(FamilySpec("small3", 3), True), (FamilySpec("f666", 2, n=4), True)])
+def test_chain_report_all_checks_equal_merged_single_checks(spec, hidden):
+    # one call shares H, JH, JF and the quasi residual across the checks;
+    # ten one-check calls build each of them afresh
+    h = make_family(spec)
+    if hidden:
+        h = conjugate(h, _mix_first_and_last(h.nvars))
+    f = plus_identity(h)
+    merged = PropertyReport()
+    for check in CHAIN_CONDITIONS:
+        merged.merge(chain_report(f, checks=[check]))
+    assert (serialize.dumps(serialize.report_to_json(chain_report(f)))
+            == serialize.dumps(serialize.report_to_json(merged)))
