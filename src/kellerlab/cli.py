@@ -100,7 +100,11 @@ def cmd_analyze(args) -> int:
         except KeyError as exc:
             print(f"error: unknown check {exc.args[0]!r}", file=sys.stderr)
             return 2
-    report = chain_report(f_map, checks=wanted)
+    try:
+        report = chain_report(f_map, checks=wanted)
+    except ZeroDivisionError as exc:  # a reducible min_poly has zero divisors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     payload = serialize.dumps(serialize.report_to_json(report))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
@@ -123,7 +127,7 @@ def cmd_certify(args) -> int:
         with open(args.cert, "r", encoding="utf-8") as handle:
             cert = serialize.certificate_from_json(json.load(handle), family.field)
         failure = certificate_failure(family, cert, level=args.level)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     level = args.level or cert.level

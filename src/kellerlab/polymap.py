@@ -221,8 +221,10 @@ class PolyMatrix:
             raise ValueError("powers of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        result = PolyMatrix.identity(self.field, self.nvars, self.rows)
-        for _ in range(k):
+        if k == 0:
+            return PolyMatrix.identity(self.field, self.nvars, self.rows)
+        result = self
+        for _ in range(k - 1):
             if result.is_zero():
                 break
             result = result @ self
@@ -317,36 +319,21 @@ def _det_cofactor(grid, field, nvars):
         return grid[0][0]
     if n == 2:
         return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    # expand along the row or column with the most zeros
-    best_row, best_row_zeros = 0, -1
-    for i in range(n):
-        z = sum(1 for e in grid[i] if e.is_zero())
-        if z > best_row_zeros:
-            best_row, best_row_zeros = i, z
-    best_col, best_col_zeros = 0, -1
-    for j in range(n):
-        z = sum(1 for i in range(n) if grid[i][j].is_zero())
-        if z > best_col_zeros:
-            best_col, best_col_zeros = j, z
+    # expand along the row with the most zeros, after transposing when a
+    # column has more
+    row_zeros = [sum(1 for e in row if e.is_zero()) for row in grid]
+    col_zeros = [sum(1 for row in grid if row[j].is_zero()) for j in range(n)]
+    if max(col_zeros) > max(row_zeros):
+        grid, row_zeros = [list(col) for col in zip(*grid)], col_zeros
+    i = row_zeros.index(max(row_zeros))
     total = MultiPoly.zero(field, nvars)
-    if best_row_zeros >= best_col_zeros:
-        i = best_row
-        for j in range(n):
-            e = grid[i][j]
-            if e.is_zero():
-                continue
-            minor = [[grid[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            term = e * _det_cofactor(minor, field, nvars)
-            total = total + term if (i + j) % 2 == 0 else total - term
-    else:
-        j = best_col
-        for i in range(n):
-            e = grid[i][j]
-            if e.is_zero():
-                continue
-            minor = [[grid[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            term = e * _det_cofactor(minor, field, nvars)
-            total = total + term if (i + j) % 2 == 0 else total - term
+    for j in range(n):
+        e = grid[i][j]
+        if e.is_zero():
+            continue
+        minor = [[grid[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+        term = e * _det_cofactor(minor, field, nvars)
+        total = total + term if (i + j) % 2 == 0 else total - term
     return total
 
 
@@ -440,12 +427,7 @@ def matrix_is_nilpotent(matrix: PolyMatrix) -> bool:
     """True iff M^k = 0 exactly for k = size (a sufficient bound)."""
     if not matrix.is_square:
         raise ValueError("nilpotency of a non-square matrix")
-    power = matrix
-    for _ in range(matrix.rows - 1):
-        if power.is_zero():
-            return True
-        power = power @ matrix
-    return power.is_zero()
+    return matrix.power(matrix.rows).is_zero()
 
 
 def homogenize(map_: PolyMap, d: int) -> PolyMap:

@@ -11,10 +11,16 @@ The chain, strongest first:
     (JC)   same with deg-1 points
     (JC-)  x + H is invertible
 
-(*) is decided through strong nilpotence: the product of n copies of JH at
-n tuples of fresh indeterminates vanishes identically iff H is linearly
-triangularizable with nilpotent Jacobian.  (**) and (***) are verified via
-explicit certificates; their failure is asserted only by two sound
+(*) is decided through strong nilpotence of JH, which is the same as linear
+triangularizability (van den Essen and Hubbers, JPAA 110, 1996).  Writing
+JH = sum_m x^m A_m with constant matrices A_m, the flag W_0 = K^n,
+W_{k+1} = sum_m A_m W_k reaches 0 exactly when H is strongly nilpotent; a
+basis adapted to it is a T with T^{-1} H(Tx) strictly triangular, and
+otherwise a nonzero word of n matrices A_m is the witness.  When the flag
+holds, the rest of the chain follows from it: keller, nilpotent, JC and
+JC+ hold, and JC- holds by inverting T^{-1} F(Tx).  Maps that fail it go
+through symbolic determinants and nilpotency.  (**) and (***) are verified
+via explicit certificates; their failure is asserted only by two sound
 desk-scale oracles (single-term matching in dimension 2, and the
 one-dimensional component-span argument).  (JC-) is never decided in the
 negative: the verdict is holds only when an inverse is exhibited.
@@ -124,11 +130,6 @@ def is_quasi_translation(map_: PolyMap) -> bool:
 
 # -- sums and products of substituted Jacobians ------------------------------
 
-def _fresh_substitution(n: int, block: int):
-    """Variable mapping sending x_j to the j-th coordinate of point `block`."""
-    return [n + block * n + j for j in range(n)]
-
-
 def _fresh_copies(jac: PolyMatrix, count: int, combine) -> PolyMatrix:
     """Fold `combine` over copies of `jac` at `count` tuples of fresh indeterminates.
 
@@ -139,7 +140,7 @@ def _fresh_copies(jac: PolyMatrix, count: int, combine) -> PolyMatrix:
     total = n + count * n
     acc = None
     for b in range(count):
-        mapping = _fresh_substitution(n, b)
+        mapping = [n + b * n + j for j in range(n)]  # x_j -> coordinate j of point b
         block = jac.map_entries(lambda e: rename_variables(e, mapping, total))
         acc = block if acc is None else combine(acc, block)
     return acc
@@ -154,8 +155,18 @@ def substituted_jacobian_sum(map_: PolyMap, count: int) -> PolyMatrix:
     return _fresh_copies(jacobian(map_), count, operator.add)
 
 
+# Candidate roots p/q need the divisors of the constant and the leading
+# coefficient, found by trial division up to their square roots; past this
+# bound (about 10^5 divisions) the search is not run at all.
+_ROOT_SEARCH_LIMIT = 10 ** 10
+
+
 def _univariate_rational_roots(poly: MultiPoly):
-    """All rational roots of a univariate polynomial over Q, ascending."""
+    """All rational roots of a univariate polynomial over Q, ascending.
+
+    None when a coefficient that bounds the candidates exceeds
+    _ROOT_SEARCH_LIMIT, so the roots are not known.
+    """
     if poly.nvars != 1 or not poly.field.is_rational:
         raise ValueError("rational root search needs a univariate rational polynomial")
     coeffs = {}
@@ -176,9 +187,12 @@ def _univariate_rational_roots(poly: MultiPoly):
     ints = {e: int(c * denom_lcm) for e, c in coeffs.items()}
     lead = ints[deg]
     const = ints[0]
+    if max(abs(lead), abs(const)) > _ROOT_SEARCH_LIMIT:
+        return None
     roots = set([Fraction(0)]) if low > 0 else set()
+    lead_divisors = _divisors(abs(lead))
     for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
+        for q in lead_divisors:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 val = sum(c * cand ** e for e, c in ints.items())
                 if val == 0:
@@ -219,19 +233,10 @@ def _point_witness(jf: PolyMatrix, det: MultiPoly, count: int):
             if j == m:
                 continue
             # coordinates: originals 0, points e_m, last point e_m + s e_j
-            s_var = MultiPoly.variable(field, 1, 0)
-            values = []
-            for idx in range(total):
-                block = (idx - n) // n if idx >= n else None
-                coord = (idx - n) % n if idx >= n else None
-                if block is None:
-                    values.append(MultiPoly.zero(field, 1))
-                elif coord == m:
-                    values.append(MultiPoly.constant(field, 1, 1))
-                elif block == count - 1 and coord == j:
-                    values.append(s_var)
-                else:
-                    values.append(MultiPoly.zero(field, 1))
+            values = [MultiPoly.zero(field, 1)] * total
+            for b in range(count):
+                values[n + b * n + m] = MultiPoly.constant(field, 1, 1)
+            values[total - n + j] = MultiPoly.variable(field, 1, 0)
             restricted = det.substitute(values)
             if restricted.is_zero():
                 roots = [Fraction(0)]
@@ -239,6 +244,8 @@ def _point_witness(jf: PolyMatrix, det: MultiPoly, count: int):
                 continue
             else:
                 roots = _univariate_rational_roots(restricted)
+                if roots is None:
+                    continue  # too large to search; rootless is not known either
             if roots:
                 s_value = field.scalar(roots[0])
                 return field, _pattern_points(field, n, count, m, j, s_value)
@@ -313,55 +320,104 @@ def _sum_condition(jf: PolyMatrix, count: int, label: str) -> PropertyReport:
 
 
 def strong_nilpotence_product(map_: PolyMap, count: int | None = None) -> PolyMatrix:
-    """Product of JH at `count` (default n) tuples of fresh indeterminates."""
+    """Product of JH at `count` (default n) tuples of fresh indeterminates.
+
+    With JH = sum_m x^m A_m, the coefficient of v_1^{m_1} ... v_n^{m_n} in the
+    n-fold product is the word A_{m_1} ... A_{m_n}; this is the reference the
+    flag decider is tested against.
+    """
     if not map_.is_square:
         raise ValueError("strong nilpotence needs a square map")
     return _fresh_copies(jacobian(map_), map_.nvars if count is None else count,
                          operator.matmul)
 
 
-def _axis_zero_jacobians(jac: PolyMatrix):
-    """JH with x_index set to 0 and the other variables kept symbolic, per index."""
-    field, n = jac.field, jac.nvars
-    xs = [MultiPoly.variable(field, n, i) for i in range(n)]
-    zero = MultiPoly.zero(field, n)
-    return [jac.substitute(xs[:index] + [zero] + xs[index + 1:]) for index in range(n)]
-
-
 def is_strongly_nilpotent(map_: PolyMap) -> PropertyReport:
-    """Does the product of n substituted copies of JH vanish identically?
+    """Does every product of n copies of JH at independent points vanish?
 
-    Fails fast when JH itself is not nilpotent.  On failure the witness is a
-    non-nilpotent two-factor product with single coordinates zeroed out when
-    such a pair exists, otherwise a nonzero entry of the symbolic product.
+    Decided by the flag of constant coefficient matrices (see
+    `_strong_nilpotence_flag`).  On failure the witness is a word of n
+    exponent vectors with the nonzero image of one unit vector under it.
     """
     if not map_.is_square:
         raise ValueError("strong nilpotence needs a square map")
-    return _strong_nilpotence(jacobian(map_))
+    return _strong_report(_strong_nilpotence_flag(jacobian(map_))[1])
 
 
-def _strong_nilpotence(jac: PolyMatrix) -> PropertyReport:
+def _strong_report(word) -> PropertyReport:
     report = PropertyReport()
-    n = jac.nvars
-    if not matrix_is_nilpotent(jac):
-        return report.record("strong_nilpotent", FAILS, witness=_entry_witness(jac.power(n)),
-                             note="Jacobian is not nilpotent")
-    product = _fresh_copies(jac, n, operator.matmul)
-    if product.is_zero():
+    if word is None:
         return report.record("strong_nilpotent", HOLDS)
-    zeroed = _axis_zero_jacobians(jac)
-    for p in range(n):
-        for q in range(n):
-            two = zeroed[p] @ zeroed[q]
-            if not matrix_is_nilpotent(two):
-                witness = {"kind": "substitution_product",
-                           "factors": [f"x{p + 1}=0", f"x{q + 1}=0"],
-                           "diagonal": two.diagonal()}
-                return report.record("strong_nilpotent", FAILS, witness=witness,
-                                     note="two substituted factors already compose to a "
-                                          "non-nilpotent product")
-    return report.record("strong_nilpotent", FAILS, witness=_entry_witness(product),
-                         note="n-fold substituted product is nonzero")
+    return report.record("strong_nilpotent", FAILS, witness=word,
+                         note="a word of n coefficient matrices of JH is nonzero")
+
+
+def _coefficient_matrices(jac: PolyMatrix) -> dict:
+    """JH = sum_m x^m A_m, each A_m as its nonzero entries (i, j, value), by m."""
+    mats = {}
+    for i, row in enumerate(jac.entries):
+        for j, entry in enumerate(row):
+            for m, value in entry.terms.items():
+                mats.setdefault(m, []).append((i, j, value))
+    return dict(sorted(mats.items()))
+
+
+def _apply(entries, vector, zero):
+    """A v for a sparse constant matrix A, skipping the zero coordinates of v."""
+    out = [zero] * len(vector)
+    for i, j, value in entries:
+        if not vector[j].is_zero():
+            out[i] = out[i] + value * vector[j]
+    return out
+
+
+def _pivots(vectors) -> list:
+    """Indices of the first maximal linearly independent subset of `vectors`."""
+    return linalg.rref([list(row) for row in zip(*vectors)])[1]
+
+
+def _strong_nilpotence_flag(jac: PolyMatrix):
+    """(T, None) when JH is strongly nilpotent, (None, word witness) otherwise.
+
+    With JH = sum_m x^m A_m, the flag W_0 = K^n, W_{k+1} = sum_m A_m W_k
+    reaches 0 exactly when every word of n matrices A_m vanishes, which is
+    strong nilpotence (van den Essen and Hubbers, JPAA 110, 1996).  The
+    columns of T run through a basis adapted to the flag, deepest level
+    last, so every T^{-1} A_m T is strictly lower triangular.  Each basis
+    vector of W_k is kept as the image of a unit vector under a word of k
+    matrices, so a nonzero W_n yields a witness word of exactly n letters.
+    """
+    field, n = jac.field, jac.nvars
+    if jac.is_lower_triangular(strict=True):
+        return PolyMatrix.identity(field, n, n), None
+    zero = field.zero()
+    mats = _coefficient_matrices(jac)
+    units = linalg.identity_grid(field, n)
+    levels = [[((), j, units[j]) for j in range(n)]]
+    for _ in range(n):
+        images = [((m,) + word, j, _apply(entries, v, zero))
+                  for word, j, v in levels[-1] for m, entries in mats.items()]
+        level = [images[p] for p in _pivots([v for _, _, v in images])]
+        if not level:
+            return _adapted_basis(levels, field), None
+        levels.append(level)
+    word, j, image = levels[-1][0]
+    # re-check against the Jacobian entries themselves
+    check = units[j]
+    for m in reversed(word):
+        check = [sum((row[c].terms.get(m, zero) * check[c] for c in range(n)), zero)
+                 for row in jac.entries]
+    if check != image or all(a.is_zero() for a in image):
+        raise ArithmeticError("strong-nilpotence word failed re-verification")
+    return None, {"kind": "word", "word": list(word), "unit": j, "image": image}
+
+
+def _adapted_basis(levels, field) -> PolyMatrix:
+    """T whose last columns span each level of the flag, the deepest last."""
+    n = len(levels[0])
+    vectors = [v for level in reversed(levels) for _, _, v in level]
+    cols = [vectors[p] for p in _pivots(vectors)][::-1]
+    return PolyMatrix.from_scalars(field, n, [[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 def _entry_witness(matrix: PolyMatrix) -> dict:
@@ -606,18 +662,10 @@ def _single_term_certificate(map_: PolyMap):
 
     A single-term decomposition H = (c^t x)^d b is unique up to the
     normalization of c, so matching against the detected pure power and
-    checking c^t b = 0 is a complete test.
+    checking c^t b = 0 is a complete test.  H must be nonzero.
     """
-    field, n = map_.field, map_.nvars
-    if map_.is_zero():
-        return StarCertificate("doublestar",
-                               [(LinearForm.zero_form(field, n), 1,
-                                 [field.one()] + [field.zero()] * (n - 1))])
-    base = None
-    for comp in map_.components:
-        if not comp.is_zero():
-            base = comp
-            break
+    field = map_.field
+    base = next(comp for comp in map_.components if not comp.is_zero())
     detected = is_pure_power(base)
     if detected is None:
         return None
@@ -660,38 +708,13 @@ def _component_span(map_: PolyMap):
     return basis
 
 
-def _zero_map_certificate(map_: PolyMap, level: str) -> StarCertificate:
+def _decide_level_oracle(map_: PolyMap, level: str):
+    """(verdict, witness, note) for the n-1 term form at `level`, undecided out of scope."""
     field, n = map_.field, map_.nvars
-    zero_form = LinearForm.zero_form(field, n)
-    triples = []
-    for i in range(n - 1):
-        b = [field.one() if r == i + 1 else field.zero() for r in range(n)]
-        triples.append((zero_form, 1, b))
-    return StarCertificate(level, triples)
-
-
-def _decide_doublestar_oracle(map_: PolyMap):
-    """(verdict, witness, note) for the n-1 term form, or None when out of scope."""
-    n = map_.nvars
     if map_.is_zero():
-        cert = _zero_map_certificate(map_, "doublestar")
-        return HOLDS, {"kind": "certificate", "certificate": cert}, "zero map"
-    if n == 1:
-        return FAILS, None, "a nonzero one-variable map is no empty sum"
-    if n != 2:
-        return None
-    cert = _single_term_certificate(map_)
-    if cert is None:
-        return (FAILS, None,
-                "single-term oracle: no orthogonal decomposition with one power exists")
-    return HOLDS, {"kind": "certificate", "certificate": cert}, "single-term oracle"
-
-
-def _decide_triplestar_oracle(map_: PolyMap):
-    """(verdict, witness, note) for the independent-b form, or None."""
-    n = map_.nvars
-    if map_.is_zero():
-        cert = _zero_map_certificate(map_, "triplestar")
+        units = linalg.identity_grid(field, n)
+        cert = StarCertificate(level, [(LinearForm.zero_form(field, n), 1, units[i + 1])
+                                       for i in range(n - 1)])
         return HOLDS, {"kind": "certificate", "certificate": cert}, "zero map"
     if n == 1:
         return FAILS, None, "a nonzero one-variable map is no empty sum"
@@ -700,15 +723,15 @@ def _decide_triplestar_oracle(map_: PolyMap):
         if cert is None:
             return (FAILS, None,
                     "single-term oracle: no orthogonal decomposition with one power exists")
-        return HOLDS, {"kind": "certificate", "certificate": cert.with_level("triplestar")}, \
-            "single-term oracle"
-    basis = _component_span(map_)
-    if len(basis) == 1:
-        if is_pure_power(basis[0]) is None:
+        return (HOLDS, {"kind": "certificate", "certificate": cert.with_level(level)},
+                "single-term oracle")
+    if level == "triplestar":
+        basis = _component_span(map_)
+        if len(basis) == 1 and is_pure_power(basis[0]) is None:
             return (FAILS, {"kind": "span_generator", "generator": basis[0]},
                     "component-span oracle: with independent b_i every form power lies in "
                     "the span, but its generator is not a power of a linear form")
-    return None
+    return UNDECIDED, None, "no verifying certificate; outside the oracles"
 
 
 # -- the aggregated chain ------------------------------------------------------
@@ -720,9 +743,8 @@ class _MapAnalysis:
     builds only what that check reads.
     """
 
-    def __init__(self, map_: PolyMap, cert: StarCertificate | None):
+    def __init__(self, map_: PolyMap):
         self.map = map_
-        self.cert = cert
         self.h = nonlinear_part(map_)
 
     @cached_property
@@ -739,32 +761,30 @@ class _MapAnalysis:
         return _quasi_residual(self.h)
 
     @cached_property
-    def strong(self) -> PropertyReport:
-        return _strong_nilpotence(self.jh)
+    def flag(self):
+        """(T, None) when JH is strongly nilpotent, else (None, word witness)."""
+        return _strong_nilpotence_flag(self.jh)
 
-    @cached_property
-    def star_certified(self) -> bool:
-        return self.cert is not None and verify_star_certificate(self.h, self.cert, level="star")
+    @property
+    def strongly_nilpotent(self) -> bool:
+        return self.flag[0] is not None
 
 
 def _exhibit_inverse(shared: _MapAnalysis):
     """Try to exhibit an inverse: quasi-translation, direct triangular
-    inversion, or inversion after certificate-driven triangularization."""
+    inversion, or inversion of T^{-1} F(Tx) for the flag's T."""
     map_ = shared.map
     if shared.quasi_residual.is_zero():
         inverse = PolyMap.identity(map_.field, map_.nvars) - shared.h
         return inverse, "quasi-translation: x - H inverts x + H"
     if shared.jh.is_lower_triangular(strict=True):
         return invert_triangular(map_), "forward substitution on the triangular form"
-    if shared.star_certified:
-        t_matrix = triangularization_from_certificate(shared.cert, map_.nvars)
-        conj = conjugate(map_, t_matrix)
-        inv_conj = invert_triangular(conj)
-        grid = t_matrix.constant_grid()
-        inv_grid = linalg.invert(grid, map_.field)
+    t_matrix = shared.flag[0]
+    if t_matrix is not None:
+        inv_grid = linalg.invert(t_matrix.constant_grid(), map_.field)
         t_inv = PolyMatrix.from_scalars(map_.field, map_.nvars, inv_grid)
-        inverse = conjugate(inv_conj, t_inv)
-        return inverse, "inverted after certificate-driven triangularization"
+        inverse = conjugate(invert_triangular(conjugate(map_, t_matrix)), t_inv)
+        return inverse, "inverted after triangularization by the strong-nilpotence flag"
     return None
 
 
@@ -774,11 +794,13 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
 
     `checks` restricts the work to a subset of CHAIN_CONDITIONS.  H, JH,
     JF = I + JH, the quasi residual H(x - H) - H and the strong-nilpotence
-    test are each computed at most once per call, and only for the checks
-    that read them.  The stronger forms hold only with a verifying
-    certificate or through the desk-scale oracles, and the invertibility
-    condition holds only when an inverse is actually exhibited; neither is
-    ever decided negative beyond the sound oracles.
+    flag are each computed at most once per call, and only for the checks
+    that read them.  When the flag holds, keller, nilpotent, jc, jc_plus,
+    strong_nilpotent and star read their verdict from it, and jc_minus
+    inverts the triangularized map.  The stronger forms hold only with a
+    verifying certificate or through the desk-scale oracles, and the
+    invertibility condition holds only when an inverse is actually
+    exhibited; neither is ever decided negative beyond the sound oracles.
     """
     if not map_.is_square:
         raise ValueError("chain analysis needs a square map F = x + H")
@@ -786,19 +808,20 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
     unknown = wanted.difference(CHAIN_CONDITIONS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    shared = _MapAnalysis(map_, cert)
+    shared = _MapAnalysis(map_)
     h = shared.h
     n = map_.nvars
     report = PropertyReport()
 
     if "keller" in wanted:
-        det = matrix_det(shared.jf)
-        ok = det.is_constant() and not det.is_zero()
-        report.record("keller", HOLDS if ok else FAILS,
-                      witness=None if ok else {"kind": "symbolic_determinant",
-                                               "determinant": det})
+        det = None if shared.strongly_nilpotent else matrix_det(shared.jf)
+        if det is None or (det.is_constant() and not det.is_zero()):
+            report.record("keller", HOLDS)
+        else:
+            report.record("keller", FAILS,
+                          witness={"kind": "symbolic_determinant", "determinant": det})
     if "nilpotent" in wanted:
-        if matrix_is_nilpotent(shared.jh):
+        if shared.strongly_nilpotent or matrix_is_nilpotent(shared.jh):
             report.record("nilpotent", HOLDS)
         else:
             report.record("nilpotent", FAILS, witness=_entry_witness(shared.jh.power(n)),
@@ -813,26 +836,17 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
                           witness={"kind": "component", "index": index,
                                    "value": residual.components[index]},
                           note="H(x - H) - H is nonzero")
-    if "jc" in wanted:
-        k = max(map_.degree() - 1, 1)
-        report.merge(_sum_condition(shared.jf, k, "jc"))
-    if "jc_plus" in wanted:
-        report.merge(_sum_condition(shared.jf, n, "jc_plus"))
-    if "strong_nilpotent" in wanted:
-        strong = shared.strong
-        report.record("strong_nilpotent", strong.verdict("strong_nilpotent"),
-                      witness=strong.witness("strong_nilpotent"),
-                      note=strong.notes.get("strong_nilpotent"))
-    if "star" in wanted:
-        if shared.star_certified:
-            report.record("star", HOLDS, witness={"kind": "certificate", "certificate": cert})
-        elif h.vanishes_at_origin():
-            strong = shared.strong
-            report.record("star", strong.verdict("strong_nilpotent"),
-                          witness=strong.witness("strong_nilpotent"))
+    for label, count in (("jc", max(map_.degree() - 1, 1)), ("jc_plus", n)):
+        if label not in wanted:
+            continue
+        if shared.strongly_nilpotent:
+            # T^-1 (sum of JH at the points) T is strictly triangular: det = count^n
+            report.record(label, HOLDS,
+                          note=f"determinant is the constant {map_.field.scalar(count) ** n!r}")
         else:
-            report.record("star", UNDECIDED,
-                          note="H(0) != 0: only the triangularizability reading applies")
+            report.merge(_sum_condition(shared.jf, count, label))
+    if "strong_nilpotent" in wanted:
+        report.merge(_strong_report(shared.flag[1]))
     if "jc_minus" in wanted:
         exhibited = _exhibit_inverse(shared)
         if exhibited is not None:
@@ -841,26 +855,17 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
                           witness={"kind": "inverse_map", "map": inverse}, note=how)
         else:
             report.record("jc_minus", UNDECIDED, note="no inverse exhibited")
-    if "doublestar" in wanted:
-        if cert is not None and verify_star_certificate(h, cert, level="doublestar"):
-            report.record("doublestar", HOLDS,
-                          witness={"kind": "certificate", "certificate": cert})
+    for level in LEVELS:
+        if level not in wanted:
+            continue
+        if cert is not None and verify_star_certificate(h, cert, level=level):
+            report.record(level, HOLDS, witness={"kind": "certificate", "certificate": cert})
+        elif level == "star" and h.vanishes_at_origin():
+            report.record("star", HOLDS if shared.strongly_nilpotent else FAILS,
+                          witness=shared.flag[1])
+        elif level == "star":
+            report.record("star", UNDECIDED,
+                          note="H(0) != 0: only the triangularizability reading applies")
         else:
-            decided = _decide_doublestar_oracle(h)
-            if decided is None:
-                report.record("doublestar", UNDECIDED,
-                              note="no verifying certificate; outside the oracles")
-            else:
-                report.record("doublestar", decided[0], witness=decided[1], note=decided[2])
-    if "triplestar" in wanted:
-        if cert is not None and verify_star_certificate(h, cert, level="triplestar"):
-            report.record("triplestar", HOLDS,
-                          witness={"kind": "certificate", "certificate": cert})
-        else:
-            decided = _decide_triplestar_oracle(h)
-            if decided is None:
-                report.record("triplestar", UNDECIDED,
-                              note="no verifying certificate; outside the oracles")
-            else:
-                report.record("triplestar", decided[0], witness=decided[1], note=decided[2])
+            report.record(level, *_decide_level_oracle(h, level))
     return report

@@ -184,6 +184,48 @@ def test_certify_dimension_mismatch_is_input_error(tmp_path, capsys):
     assert "rejected" not in captured.out
 
 
+def _reducible_field_map(tmp_path):
+    """H = ((1+t)x2, (t-1)x3, x1^2, 0, (1+t)x4) over Q[t]/(t^2-1), not a field."""
+    def comp(*terms):
+        return {"nvars": 5, "terms": [{"exps": e, "coeff": c} for e, c in terms]}
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps({
+        "field": {"min_poly": ["-1", "0", "1"]},
+        "nvars": 5,
+        "components": [comp(([0, 1, 0, 0, 0], ["1", "1"])), comp(([0, 0, 1, 0, 0], ["-1", "1"])),
+                       comp(([2, 0, 0, 0, 0], ["1", "0"])), comp(),
+                       comp(([0, 0, 0, 1, 0], ["1", "1"]))],
+    }))
+    return path
+
+
+@pytest.mark.parametrize("checks", ["triplestar", "all", "keller", "strong-nilpotent"])
+def test_analyze_reducible_min_poly_is_input_error(tmp_path, capsys, checks):
+    # 1 + t is a zero divisor modulo t^2 - 1, so elimination cannot divide by it
+    map_path = _reducible_field_map(tmp_path)
+    assert main(["analyze", str(map_path), "--checks", checks]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_certify_reducible_min_poly_is_input_error(tmp_path, capsys):
+    # one term (x1)^2 (0, 1+t): sum and orthogonality hold, and the rank
+    # test of the (***) level has to divide by 1 + t
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({
+        "field": {"min_poly": ["-1", "0", "1"]},
+        "nvars": 2,
+        "components": [{"nvars": 2, "terms": []},
+                       {"nvars": 2, "terms": [{"exps": [2, 0], "coeff": ["1", "1"]}]}],
+    }))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({
+        "level": "triplestar",
+        "triples": [{"c": [["1", "0"], ["0", "0"]], "d": 2, "b": [["0", "0"], ["1", "1"]]}],
+    }))
+    assert main(["certify", str(map_path), str(cert_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_identity_exit_codes(capsys):
     assert main(["verify-identity", "eq667h", "--degree", "3"]) == 0
     assert main(["verify-identity", "pl666", "--degree", "4"]) == 0

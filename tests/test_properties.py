@@ -21,6 +21,7 @@ from kellerlab.properties import (CHAIN_CONDITIONS, FAILS, HOLDS, UNDECIDED,
                                   substituted_jacobian_sum,
                                   triangularization_from_certificate,
                                   verify_star_certificate, verify_sum_witness)
+from kellerlab.properties import _strong_nilpotence_flag
 from kellerlab.constructions import (FAMILY_KINDS, FamilySpec, family_certificate,
                                      make_family)
 
@@ -89,25 +90,37 @@ def test_strongly_nilpotent_triangular():
     assert is_strongly_nilpotent(h).sole_verdict == HOLDS
 
 
+def _assert_word_witness(h, witness, product=None):
+    # the word must be the coefficient of v_1^{m_1} ... v_n^{m_n} in the
+    # n-fold product, applied to the unit vector
+    product = strong_nilpotence_product(h) if product is None else product
+    assert witness["kind"] == "word"
+    assert len(witness["word"]) == h.nvars
+    exps = (0,) * h.nvars + tuple(e for m in witness["word"] for e in m)
+    column = [row[witness["unit"]].terms.get(exps, h.field.zero()) for row in product.entries]
+    assert witness["image"] == column
+    assert any(not v.is_zero() for v in column)
+
+
 def test_strongly_nilpotent_family_failure():
     h = make_family(FamilySpec("n5", 2))
     rep = is_strongly_nilpotent(h)
     assert rep.sole_verdict == FAILS
     witness = rep.witness("strong_nilpotent")
-    assert witness["kind"] == "substitution_product"
-    assert witness["factors"] == ["x1=0", "x2=0"]
-    xs = variables(QQ, 5)
-    expected = [MultiPoly.zero(QQ, 5), MultiPoly.zero(QQ, 5),
-                xs[0] * xs[1], -(xs[0] * xs[1]), MultiPoly.zero(QQ, 5)]
-    assert witness["diagonal"] == expected
+    _assert_word_witness(h, witness)
+    assert witness["word"] == [(0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0),
+                               (0, 1, 0, 0, 0), (0, 0, 0, 1, 0)]
+    assert witness["unit"] == 0
+    assert witness["image"] == [QQ.zero(), QQ.zero(), QQ.scalar(-1), QQ.zero(), QQ.zero()]
 
 
 def test_strongly_nilpotent_rejects_non_nilpotent_jacobian():
     x1, x2 = variables(QQ, 2)
     h = PolyMap([x2 ** 2, x1 ** 2])
+    assert not matrix_is_nilpotent(jacobian(h))
     rep = is_strongly_nilpotent(h)
     assert rep.sole_verdict == FAILS
-    assert "not nilpotent" in rep.notes["strong_nilpotent"]
+    _assert_word_witness(h, rep.witness("strong_nilpotent"))
 
 
 def test_decide_star_examples():
@@ -437,11 +450,11 @@ def test_chain_report_failure_witnesses_reverify():
     assert not comp["value"].is_zero()
 
 
-def _mix_first_and_last(n):
+def _mix_first_and_last(n, field=QQ):
     """I + e_1 e_n^t - e_n e_1^t: hides a triangular form, determinant 2."""
     grid = [[int(i == j) for j in range(n)] for i in range(n)]
     grid[0][n - 1], grid[n - 1][0] = 1, -1
-    return PolyMatrix.from_scalars(QQ, n, grid)
+    return PolyMatrix.from_scalars(field, n, grid)
 
 
 _SMALLEST = [FamilySpec(kind, 3 if kind in ("n4", "nonhomog_n4") else 2)
@@ -462,3 +475,87 @@ def test_chain_report_all_checks_equal_merged_single_checks(spec, hidden):
         merged.merge(chain_report(f, checks=[check]))
     assert (serialize.dumps(serialize.report_to_json(chain_report(f)))
             == serialize.dumps(serialize.report_to_json(merged)))
+
+
+def test_strong_nilpotence_flag_matches_product_fuzz():
+    # the flag against the n-fold product on random maps, most of them
+    # conjugates of triangular ones; its T must triangularize every map it
+    # accepts, and its word must be a coefficient of the product otherwise
+    import random
+
+    rng = random.Random(90210)
+    verdicts = []
+    for trial in range(25):
+        n = rng.randint(2, 3)
+        comps = []
+        for i in range(n):
+            items = []
+            for _ in range(rng.randint(0, 2)):
+                exps = [0] * n
+                upper = i if rng.random() < 0.7 else n
+                for j in range(upper):
+                    exps[j] = rng.randint(0, 2)
+                items.append((tuple(exps), rng.randint(-3, 3)))
+            comps.append(MultiPoly.from_terms(QQ, n, items))
+        while True:
+            grid = [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(n)] for _ in range(n)]
+            if matrix_det(PolyMatrix.from_scalars(QQ, n, grid)) != MultiPoly.zero(QQ, n):
+                break
+        h = conjugate(PolyMap(comps), PolyMatrix.from_scalars(QQ, n, grid))
+        product = strong_nilpotence_product(h)
+        t_matrix, word = _strong_nilpotence_flag(jacobian(h))
+        assert (t_matrix is not None) == product.is_zero(), (trial, h)
+        assert is_strongly_nilpotent(h).sole_verdict == (HOLDS if product.is_zero() else FAILS)
+        if t_matrix is not None:
+            assert jacobian(conjugate(h, t_matrix)).is_lower_triangular(strict=True), (trial, h)
+        else:
+            _assert_word_witness(h, word, product)
+        verdicts.append(t_matrix is not None)
+    assert 5 <= sum(verdicts) <= 20
+
+
+_FLAG_CHECKS = ["keller", "nilpotent", "quasi", "jc", "jc_plus", "strong_nilpotent", "star"]
+
+
+@pytest.mark.parametrize("spec", _SMALLEST, ids=lambda spec: spec.kind)
+def test_hidden_families_keep_their_verdicts(spec):
+    # a change of basis hides the defining form; every verdict that does not
+    # read a certificate or the shape of H must survive it
+    h = make_family(spec)
+    hidden = conjugate(h, _mix_first_and_last(h.nvars, h.field))
+    plain = chain_report(plus_identity(h), checks=_FLAG_CHECKS).conditions
+    assert UNDECIDED not in plain.values()
+    assert chain_report(plus_identity(hidden), checks=_FLAG_CHECKS).conditions == plain
+
+
+def test_jc_plus_and_jc_minus_hold_on_hidden_full_size_f666():
+    h = make_family(FamilySpec("f666", 2))
+    assert h.nvars == 6
+    f = plus_identity(conjugate(h, _mix_first_and_last(6)))
+    rep = chain_report(f, checks=["jc_plus", "jc_minus"])
+    assert rep.verdict("jc_plus") == HOLDS
+    assert rep.notes["jc_plus"] == "determinant is the constant 46656"
+    assert rep.verdict("jc_minus") == HOLDS
+    # F o G = x composed symbolically takes seconds here; check it pointwise
+    inverse = rep.witness("jc_minus")["map"]
+    for point in ([1, 0, -1, 2, 0, 1], [3, -2, 1, 1, -1, 0]):
+        point = [QQ.scalar(v) for v in point]
+        assert list(f.evaluate(inverse.evaluate(point))) == point
+
+
+def test_jc_failure_with_large_coefficients_is_fast():
+    # diag(10^8, 1, 1, 1) blows up the coefficients of the restricted
+    # determinants past the rational-root search bound; the symbolic
+    # determinant still proves failure
+    import time
+
+    h = make_family(FamilySpec("n4", 3))
+    grid = [[10 ** 8 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    hidden = conjugate(h, PolyMatrix.from_scalars(QQ, 4, grid))
+    start = time.perf_counter()
+    rep = chain_report(plus_identity(hidden), checks=["jc"])
+    assert time.perf_counter() - start < 2.0
+    assert rep.verdict("jc") == FAILS
+    witness = rep.witness("jc")
+    assert witness["kind"] == "symbolic_determinant"
+    assert not witness["determinant"].is_constant()
