@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import linalg
 from .exactfield import QQ, Field, Scalar, cyclotomic
 from .multipoly import LinearForm, MultiPoly, extend_variables, rename_variables
-from .polymap import PolyMap, jacobian, matrix_rank
+from .polymap import PolyMap, jacobian, linear_combinations, matrix_rank
 from .properties import (FAILS, HOLDS, PropertyReport, StarCertificate)
 
 __all__ = ["FamilySpec", "FAMILY_KINDS", "make_family", "family_certificate",
@@ -264,17 +264,6 @@ def gz_example() -> GZInstance:
     return GZInstance(H=h_map, G=g_map, B=b_grid, C=c_grid, scale=QQ.scalar(6))
 
 
-def _apply_matrix_to_map(grid, map_: PolyMap) -> list:
-    out = []
-    for row in grid:
-        acc = MultiPoly.zero(map_.field, map_.nvars)
-        for coeff, comp in zip(row, map_.components):
-            if not coeff.is_zero() and not comp.is_zero():
-                acc = acc + comp * coeff
-        out.append(acc)
-    return out
-
-
 def gz_verify(inst: GZInstance) -> PropertyReport:
     """Check the four pairing invariants exactly."""
     report = PropertyReport()
@@ -287,7 +276,8 @@ def gz_verify(inst: GZInstance) -> PropertyReport:
         raise ValueError("C has the wrong shape")
 
     lifted = [extend_variables(c, inst.G.nvars) for c in inst.H.components]
-    bg = _apply_matrix_to_map(inst.B, inst.G)
+    bg = linear_combinations(inst.B, inst.G.components,
+                             MultiPoly.zero(inst.G.field, inst.G.nvars))
     for i, (lhs, rhs) in enumerate(zip(lifted, bg)):
         if lhs * inst.scale != rhs:
             failures.append(f"scale*H != BG in row {i + 1}")

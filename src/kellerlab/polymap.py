@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from . import linalg
 from .exactfield import Field
-from .multipoly import MultiPoly, divide_exact
+from .multipoly import MultiPoly, divide_exact, variables
 
 __all__ = [
     "PolyMap",
     "PolyMatrix",
     "jacobian",
     "hadamard_power_map",
+    "linear_combinations",
     "map_compose",
     "conjugate",
     "matrix_det",
@@ -259,17 +260,26 @@ def hadamard_power_map(matrix: PolyMatrix, d: int) -> PolyMap:
         raise ValueError("Hadamard-power maps need a square matrix")
     if d < 1:
         raise ValueError("power must be at least 1")
-    grid = matrix.constant_grid()
-    n = matrix.rows
-    field = matrix.field
-    comps = []
+    field, n = matrix.field, matrix.rows
+    forms = linear_combinations(matrix.constant_grid(), variables(field, n),
+                                MultiPoly.zero(field, n))
+    return PolyMap([form ** d for form in forms])
+
+
+def linear_combinations(grid, polys, zero: MultiPoly) -> list:
+    """Row i of the result is sum_j grid[i][j] polys[j] for a scalar grid.
+
+    Zero coefficients and zero polynomials are skipped; `zero` is the zero
+    polynomial of the ring the result lives in.
+    """
+    out = []
     for row in grid:
-        form = MultiPoly.zero(field, n)
-        for j, a in enumerate(row):
-            if not a.is_zero():
-                form = form + MultiPoly.variable(field, n, j) * a
-        comps.append(form ** d)
-    return PolyMap(comps)
+        acc = zero
+        for coeff, poly in zip(row, polys):
+            if not coeff.is_zero() and not poly.is_zero():
+                acc = acc + poly * coeff
+        out.append(acc)
+    return out
 
 
 def map_compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
@@ -291,22 +301,10 @@ def conjugate(map_: PolyMap, t_matrix: PolyMatrix) -> PolyMap:
     if inv is None:
         raise ValueError("conjugating matrix is singular")
     field, n = map_.field, map_.nvars
-    linear = []
-    for i in range(n):
-        acc = MultiPoly.zero(field, n)
-        for j in range(n):
-            if not grid[i][j].is_zero():
-                acc = acc + MultiPoly.variable(field, n, j) * grid[i][j]
-        linear.append(acc)
+    zero = MultiPoly.zero(field, n)
+    linear = linear_combinations(grid, variables(field, n), zero)
     images = [c.substitute(linear) for c in map_.components]
-    comps = []
-    for i in range(n):
-        acc = MultiPoly.zero(field, n)
-        for j in range(n):
-            if not inv[i][j].is_zero():
-                acc = acc + images[j] * inv[i][j]
-        comps.append(acc)
-    return PolyMap(comps)
+    return PolyMap(linear_combinations(inv, images, zero))
 
 
 def _grid(matrix: PolyMatrix):

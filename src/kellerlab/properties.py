@@ -37,8 +37,8 @@ from . import linalg
 from .exactfield import Field, Scalar
 from .multipoly import (LinearForm, MultiPoly, is_pure_power, lift_to_field,
                         rename_variables)
-from .polymap import (PolyMap, PolyMatrix, conjugate, jacobian, map_compose,
-                      matrix_det, matrix_is_nilpotent, invert_triangular,
+from .polymap import (PolyMap, PolyMatrix, conjugate, jacobian, linear_combinations,
+                      map_compose, matrix_det, matrix_is_nilpotent, invert_triangular,
                       nonlinear_part)
 
 __all__ = [
@@ -399,7 +399,8 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
                   for word, j, v in levels[-1] for m, entries in mats.items()]
         level = [images[p] for p in _pivots([v for _, _, v in images])]
         if not level:
-            return _adapted_basis(levels, field), None
+            deepest_first = [v for step in reversed(levels[1:]) for _, _, v in step]
+            return _adapted_basis(deepest_first, field, n), None
         levels.append(level)
     word, j, image = levels[-1][0]
     # re-check against the Jacobian entries themselves
@@ -412,11 +413,15 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
     return None, {"kind": "word", "word": list(word), "unit": j, "image": image}
 
 
-def _adapted_basis(levels, field) -> PolyMatrix:
-    """T whose last columns span each level of the flag, the deepest last."""
-    n = len(levels[0])
-    vectors = [v for level in reversed(levels) for _, _, v in level]
-    cols = [vectors[p] for p in _pivots(vectors)][::-1]
+def _adapted_basis(chain, field: Field, n: int) -> PolyMatrix:
+    """An invertible T whose last columns span chain[:k] for every k.
+
+    One pivot pass over `chain`, then the unit vectors; the columns of T are
+    the picked unit vectors, ascending, then the picked chain vectors in reverse."""
+    vectors = chain + linalg.identity_grid(field, n)
+    picked = _pivots(vectors)
+    cols = ([vectors[p] for p in picked if p >= len(chain)]
+            + [vectors[p] for p in reversed(picked) if p < len(chain)])
     return PolyMatrix.from_scalars(field, n, [[cols[j][i] for j in range(n)] for i in range(n)])
 
 
@@ -488,13 +493,9 @@ class StarCertificate:
 
 
 def _certificate_sum(cert: StarCertificate, field: Field, n: int) -> PolyMap:
-    comps = [MultiPoly.zero(field, n) for _ in range(n)]
-    for c, d, b in cert.triples:
-        power = c.to_poly() ** d
-        for i, coeff in enumerate(b):
-            if not coeff.is_zero():
-                comps[i] = comps[i] + power * coeff
-    return PolyMap(comps)
+    powers = [c.to_poly() ** d for c, d, _ in cert.triples]
+    b_columns = [[b[i] for _, _, b in cert.triples] for i in range(n)]
+    return PolyMap(linear_combinations(b_columns, powers, MultiPoly.zero(field, n)))
 
 
 def certificate_failure(map_: PolyMap, cert: StarCertificate, level: str | None = None):
@@ -514,12 +515,9 @@ def certificate_failure(map_: PolyMap, cert: StarCertificate, level: str | None 
         raise ValueError(f"unknown certificate level {level!r}")
     if _certificate_sum(cert, field, n) != map_:
         return "sum mismatch"
-    for i in range(cert.count):
-        for j in range(i + 1):
-            c_j = cert.triples[j][0]
-            b_i = cert.triples[i][2]
-            if not c_j.dot(b_i).is_zero():
-                return f"orthogonality ({i + 1},{j + 1})"
+    violated = _orthogonality_failure(cert)
+    if violated is not None:
+        return f"orthogonality {violated}"
     if level in ("doublestar", "triplestar") and cert.count != n - 1:
         return "count"
     if level == "triplestar":
@@ -529,72 +527,75 @@ def certificate_failure(map_: PolyMap, cert: StarCertificate, level: str | None 
     return None
 
 
+def _orthogonality_failure(cert: StarCertificate):
+    """The first "(i,j)", 1-based, with i >= j and c_j^t b_i != 0, or None."""
+    for i in range(cert.count):
+        for j in range(i + 1):
+            if not cert.triples[j][0].dot(cert.triples[i][2]).is_zero():
+                return f"({i + 1},{j + 1})"
+    return None
+
+
 def verify_star_certificate(map_: PolyMap, cert: StarCertificate,
                             level: str | None = None) -> bool:
     return certificate_failure(map_, cert, level=level) is None
 
 
+def _conjugated_vectors(c: LinearForm, b, grid, inv):
+    """T^t c and T^{-1} b, skipping the zero entries of c and b."""
+    n = len(grid)
+    zero = c.field.zero()
+    tc = [sum((grid[r][m] * c.coeffs[r] for r in range(n) if not c.coeffs[r].is_zero()), zero)
+          for m in range(n)]
+    tinv_b = [sum((inv[i][r] * b[r] for r in range(n) if not b[r].is_zero()), zero)
+              for i in range(n)]
+    return tc, tinv_b
+
+
 def conjugated_power_term(c: LinearForm, d: int, b, t_matrix: PolyMatrix) -> PolyMap:
     """The map T^{-1} (c^t T x)^d b, one certificate term after conjugation."""
-    field = c.field
-    n = c.nvars
     grid = t_matrix.constant_grid()
-    inv = linalg.invert(grid, field)
+    inv = linalg.invert(grid, c.field)
     if inv is None:
         raise ValueError("conjugating matrix is singular")
-    # coefficients of x -> c^t(Tx) are T^t c
-    tc = [sum((grid[r][m] * c.coeffs[r] for r in range(n)), field.zero()) for m in range(n)]
-    power = LinearForm(field, tc).to_poly() ** d
-    tinv_b = [sum((inv[i][r] * b[r] for r in range(n)), field.zero()) for i in range(n)]
-    return PolyMap([power * coeff if not coeff.is_zero() else MultiPoly.zero(field, n)
-                    for coeff in tinv_b])
+    tc, tinv_b = _conjugated_vectors(c, b, grid, inv)
+    power = LinearForm(c.field, tc).to_poly() ** d
+    return PolyMap([power * coeff for coeff in tinv_b])
+
+
+def _term_is_triangular(c: LinearForm, b, grid, inv) -> bool:
+    """Does T^{-1} (c^t T x)^d b have a strictly lower triangular Jacobian?
+
+    With c' = T^t c and b' = T^{-1} b the Jacobian is d (c'^t x)^{d-1} b' c'^t,
+    whose entry (i, j) is nonzero exactly when b'_i and c'_j are; so the test
+    is exact: b' vanishes up to the last nonzero entry of c'.
+    """
+    tc, tinv_b = _conjugated_vectors(c, b, grid, inv)
+    last = max((m for m, v in enumerate(tc) if not v.is_zero()), default=-1)
+    return all(v.is_zero() for v in tinv_b[:last + 1])
 
 
 def triangularization_from_certificate(cert: StarCertificate, n: int,
                                         field: Field | None = None) -> PolyMatrix:
     """A constant invertible T that triangularizes every certificate term.
 
-    Scanning the b_i from the last one backwards, keep those independent of
-    the later kept ones; they become the last columns of T, completed to an
-    invertible matrix by standard basis vectors.  Each term's conjugated
-    Jacobian is then strictly lower triangular, which is re-checked.
-
-    The field only needs to be passed for an empty certificate.
+    The flag's basis routine `_adapted_basis`, run on b_N, ..., b_1, keeps
+    each b_i independent of the later kept ones; they are the last columns
+    of T, in certificate order, after the unit vectors that complete them,
+    ascending.  Every term is re-checked with the one T^{-1}.  The field
+    only needs to be passed for an empty certificate.
     """
     field = cert.field or field or Field([0, 1])
     if cert.triples and cert.nvars != n:
         raise ValueError("certificate dimension mismatch")
-    for i in range(cert.count):
-        for j in range(i + 1):
-            if not cert.triples[j][0].dot(cert.triples[i][2]).is_zero():
-                raise ValueError(f"orthogonality violated at ({i + 1},{j + 1})")
-    kept = []
-    span_rows = []
-    for i in range(cert.count - 1, -1, -1):
-        b = list(cert.triples[i][2])
-        if linalg.rank(span_rows + [b]) > linalg.rank(span_rows):
-            kept.append(i)
-            span_rows.append(b)
-    kept.reverse()
-    tail_cols = [list(cert.triples[i][2]) for i in kept]
-    # complete with unit vectors that keep the column rank growing
-    cols = []
-    basis_rows = [list(c) for c in tail_cols]
-    for j in range(n):
-        if len(cols) == n - len(tail_cols):
-            break
-        unit = [field.one() if i == j else field.zero() for i in range(n)]
-        if linalg.rank(basis_rows + [unit]) > linalg.rank(basis_rows):
-            cols.append(unit)
-            basis_rows.append(unit)
-    all_cols = cols + tail_cols
-    if len(all_cols) != n:
-        raise ArithmeticError("failed to complete the column basis")
-    grid = [[all_cols[j][i] for j in range(n)] for i in range(n)]
-    t_matrix = PolyMatrix.from_scalars(field, n, grid)
-    for c, d, b in cert.triples:
-        jac = jacobian(conjugated_power_term(c, d, b, t_matrix))
-        if not jac.is_lower_triangular(strict=True):
+    violated = _orthogonality_failure(cert)
+    if violated is not None:
+        raise ValueError(f"orthogonality violated at {violated}")
+    t_matrix = _adapted_basis([b for _, _, b in reversed(cert.triples)], field, n)
+    grid = t_matrix.constant_grid()
+    inv = linalg.invert(grid, field)
+    for c, _, b in cert.triples:
+        if not _term_is_triangular(c, b, grid, inv):
             raise ArithmeticError("constructed matrix failed to triangularize a term")
     return t_matrix
 
@@ -684,8 +685,6 @@ def _single_term_certificate(map_: PolyMap):
             return None
         ratios.append(ratio)
     b = [lam * r for r in ratios]
-    if not form.dot(b).is_zero():
-        return None
     cert = StarCertificate("doublestar", [(form, d, b)])
     if certificate_failure(map_, cert) is not None:
         return None

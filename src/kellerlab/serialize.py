@@ -56,9 +56,17 @@ def poly_to_json(poly: MultiPoly) -> dict:
     }
 
 
+def _natural(value, what: str) -> int:
+    """A JSON integer >= 0; bools, floats and strings raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def poly_from_json(data: dict, field: Field) -> MultiPoly:
-    nvars = data["nvars"]
-    items = [(tuple(t["exps"]), scalar_from_json(t["coeff"], field))
+    nvars = _natural(data["nvars"], "nvars")
+    items = [(tuple(_natural(e, "exponent") for e in t["exps"]),
+              scalar_from_json(t["coeff"], field))
              for t in data["terms"]]
     return MultiPoly.from_terms(field, nvars, items)
 
@@ -74,8 +82,9 @@ def map_to_json(map_: PolyMap) -> dict:
 def map_from_json(data: dict) -> PolyMap:
     field = field_from_json(data["field"])
     comps = [poly_from_json(c, field) for c in data["components"]]
-    for c, raw in zip(comps, data["components"]):
-        if raw["nvars"] != data["nvars"]:
+    nvars = _natural(data["nvars"], "nvars")
+    for raw in data["components"]:
+        if raw["nvars"] != nvars:
             raise ValueError("component nvars disagrees with the map")
     return PolyMap(comps)
 
@@ -124,7 +133,7 @@ def certificate_from_json(data: dict, field: Field) -> StarCertificate:
     for t in data["triples"]:
         c = LinearForm(field, [scalar_from_json(v, field) for v in t["c"]])
         b = [scalar_from_json(v, field) for v in t["b"]]
-        triples.append((c, int(t["d"]), b))
+        triples.append((c, _natural(t["d"], "certificate power d"), b))
     return StarCertificate(data["level"], triples)
 
 

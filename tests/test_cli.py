@@ -184,6 +184,48 @@ def test_certify_dimension_mismatch_is_input_error(tmp_path, capsys):
     assert "rejected" not in captured.out
 
 
+def _square_map(tmp_path, exps=(2, 0), nvars=2):
+    """H = (0, x1^2), with the exponent vector and nvars as given."""
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "field": {"min_poly": ["0", "1"]},
+        "nvars": 2,
+        "components": [{"nvars": nvars, "terms": []},
+                       {"nvars": nvars, "terms": [{"exps": list(exps), "coeff": ["1"]}]}],
+    }))
+    return path
+
+
+def _square_cert(tmp_path, d):
+    path = tmp_path / "square.cert.json"
+    path.write_text(json.dumps({
+        "level": "star",
+        "triples": [{"c": [["1"], ["0"]], "d": d, "b": [["0"], ["1"]]}],
+    }))
+    return path
+
+
+@pytest.mark.parametrize("d", [2.9, 2.0, "2", True, -2])
+def test_certify_rejects_non_integer_power(tmp_path, capsys, d):
+    map_path = _square_map(tmp_path)
+    assert main(["certify", str(map_path), str(_square_cert(tmp_path, 2))]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(map_path), str(_square_cert(tmp_path, d))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "verifies" not in captured.out
+
+
+@pytest.mark.parametrize("exps, nvars", [((1.5, 0), 2), ((True, 0), 2), ((2, -1), 2),
+                                         (("2", 0), 2), ((2, 0), 2.0), ((2, 0), True)])
+def test_non_integer_exponents_are_input_errors(tmp_path, capsys, exps, nvars):
+    map_path = _square_map(tmp_path, exps, nvars)
+    assert main(["analyze", str(map_path), "--checks", "all"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["certify", str(map_path), str(_square_cert(tmp_path, 2))]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _reducible_field_map(tmp_path):
     """H = ((1+t)x2, (t-1)x3, x1^2, 0, (1+t)x4) over Q[t]/(t^2-1), not a field."""
     def comp(*terms):

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from kellerlab import serialize
-from kellerlab.exactfield import QQ, Field
+from kellerlab import linalg, serialize
+from kellerlab.exactfield import QQ, Field, cyclotomic
 from kellerlab.multipoly import LinearForm, MultiPoly, lift_to_field, variables
 from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, jacobian,
                                map_compose, matrix_det, matrix_is_nilpotent,
@@ -21,7 +21,7 @@ from kellerlab.properties import (CHAIN_CONDITIONS, FAILS, HOLDS, UNDECIDED,
                                   substituted_jacobian_sum,
                                   triangularization_from_certificate,
                                   verify_star_certificate, verify_sum_witness)
-from kellerlab.properties import _strong_nilpotence_flag
+from kellerlab.properties import _strong_nilpotence_flag, _term_is_triangular
 from kellerlab.constructions import (FAMILY_KINDS, FamilySpec, family_certificate,
                                      make_family)
 
@@ -221,6 +221,101 @@ def test_triangularization_family_recheck():
     # the triangularized sum is then strictly triangular as well
     h = make_family(spec)
     assert jacobian(conjugate(h, t)).is_lower_triangular(strict=True)
+
+
+def _greedy_rank_scan(cert, n, field):
+    """The reference T: a backward rank scan keeps the b_i independent of
+    the later kept ones, then unit vectors complete them, ascending."""
+    kept = []
+    for i in range(cert.count - 1, -1, -1):
+        b = list(cert.triples[i][2])
+        if linalg.rank(kept + [b]) > linalg.rank(kept):
+            kept.append(b)
+    tail = kept[::-1]
+    units = []
+    for unit in linalg.identity_grid(field, n):
+        basis = tail + units
+        if len(basis) < n and linalg.rank(basis + [unit]) > linalg.rank(basis):
+            units.append(unit)
+    cols = units + tail
+    return PolyMatrix.from_scalars(field, n, [[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def _random_orthogonal_certificate(rng, field, n):
+    """Triples with c_j^t b_i = 0 for i >= j: the c_j come from a span of
+    dimension below n and each b_i from the null space of c_1, ..., c_i,
+    so later b_i are often dependent, repeated or zero."""
+    values = [field.scalar(v) for v in (-1, 0, 0, 1, 2)]
+    if not field.is_rational:
+        values.append(field.generator())
+
+    def combination(basis):
+        weights = [rng.choice(values) for _ in basis]
+        return [sum((w * v[k] for w, v in zip(weights, basis)), field.zero()) for k in range(n)]
+
+    spanning = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+    triples, forms = [], []
+    for _ in range(rng.randint(1, n + 2)):
+        forms.append(combination(spanning))
+        repeat = triples and LinearForm(field, forms[-1]).dot(triples[-1][2]).is_zero()
+        if repeat and rng.random() < 0.2:
+            b = list(triples[-1][2])
+        elif rng.random() < 0.15:
+            b = [field.zero()] * n
+        else:
+            b = combination(linalg.nullspace(forms, n, field))
+        triples.append((LinearForm(field, forms[-1]), rng.randint(1, 3), b))
+    return StarCertificate("star", triples)
+
+
+def test_triangularization_matches_greedy_rank_scan_fuzz():
+    import random
+
+    rng = random.Random(31337)
+    dropped = 0
+    for field, trials in ((QQ, 25), (Field(cyclotomic(3)), 4)):
+        for trial in range(trials):
+            n = rng.randint(2, 4)
+            cert = _random_orthogonal_certificate(rng, field, n)
+            t_matrix = triangularization_from_certificate(cert, n)
+            assert t_matrix == _greedy_rank_scan(cert, n, field), (trial, cert.triples)
+            for c, d, b in cert.triples:
+                term = conjugated_power_term(c, d, b, t_matrix)
+                assert jacobian(term).is_lower_triangular(strict=True), (trial, cert.triples)
+            dropped += linalg.rank([list(b) for _, _, b in cert.triples]) < cert.count
+    assert dropped >= 10  # dependent or zero b_i are exercised, not only bases
+
+
+def test_term_recheck_matches_symbolic_jacobian_fuzz():
+    # the support test on T^t c and T^{-1} b against the Jacobian of the
+    # conjugated term; c before b and lower triangular T make many pairs
+    # triangularize, the other draws mostly do not
+    import random
+
+    rng = random.Random(2718)
+    outcomes = []
+    for trial in range(60):
+        n = rng.randint(2, 4)
+        split = rng.randint(1, n - 1) if rng.random() < 0.6 else 0
+        c = [rng.choice([-1, 0, 1, 2]) if k < (split or n) else 0 for k in range(n)]
+        b = [rng.choice([-1, 0, 1, 3]) if k >= split else 0 for k in range(n)]
+        while True:
+            if rng.random() < 0.5:
+                grid = [[rng.choice([-1, 0, 2]) if j < i else int(i == j) for j in range(n)]
+                        for i in range(n)]
+            else:
+                grid = [[rng.choice([-1, 0, 0, 1]) for _ in range(n)] for _ in range(n)]
+            grid = [[QQ.scalar(v) for v in row] for row in grid]
+            inv = linalg.invert(grid, QQ)
+            if inv is not None:
+                break
+        form, b = LinearForm(QQ, c), [QQ.scalar(v) for v in b]
+        term = conjugated_power_term(form, rng.randint(1, 3), b,
+                                     PolyMatrix.from_scalars(QQ, n, grid))
+        fast = _term_is_triangular(form, b, grid, inv)
+        assert fast == jacobian(term).is_lower_triangular(strict=True), (trial, c, b, grid)
+        outcomes.append(fast)
+    assert 15 <= sum(outcomes) <= 45
 
 
 def test_certificate_from_triangularization_round_trip():
