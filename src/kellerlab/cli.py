@@ -29,6 +29,10 @@ from .properties import CHAIN_CONDITIONS, FAILS, HOLDS, certificate_failure, cha
 # command-line spelling of each condition: jc-plus for jc_plus
 CHECK_NAMES = {c.replace("_", "-"): c for c in CHAIN_CONDITIONS}
 
+# what reading a map or certificate file raises on bad input; a rational
+# "p/0" raises ZeroDivisionError
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ZeroDivisionError)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kellerlab")
@@ -88,7 +92,7 @@ def cmd_analyze(args) -> int:
     try:
         family = _load_map(args.map)
         f_map = plus_identity(family)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.checks.strip() == "all":
@@ -127,7 +131,7 @@ def cmd_certify(args) -> int:
         with open(args.cert, "r", encoding="utf-8") as handle:
             cert = serialize.certificate_from_json(json.load(handle), family.field)
         failure = certificate_failure(family, cert, level=args.level)
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     level = args.level or cert.level

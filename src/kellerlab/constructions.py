@@ -287,15 +287,9 @@ def gz_verify(inst: GZInstance) -> PropertyReport:
     if linalg.rank(b_rows) != n_small:
         failures.append("B does not have full rank")
 
-    product = [[QQ.zero() for _ in range(n_small)] for _ in range(n_small)]
-    for i in range(n_small):
-        for j in range(n_small):
-            acc = QQ.zero()
-            for k in range(n_big):
-                acc = acc + inst.B[i][k] * inst.C[k][j]
-            product[i][j] = acc
-    identity = linalg.identity_grid(QQ, n_small)
-    if product != identity:
+    # the columns of BC, compared with the (symmetric) identity
+    bc_columns = [linear_combinations(inst.B, col, QQ.zero()) for col in zip(*inst.C)]
+    if bc_columns != linalg.identity_grid(QQ, n_small):
         failures.append("BC != I")
 
     jac = jacobian(inst.G)

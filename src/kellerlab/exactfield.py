@@ -18,10 +18,10 @@ __all__ = ["Field", "Scalar", "QQ", "cyclotomic"]
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact rational; bools raise."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -195,12 +195,6 @@ class Scalar:
             return NotImplemented
         return Scalar(self.field, tuple(a - b for a, b in zip(self.coords, rhs.coords)))
 
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
-
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
@@ -230,12 +224,6 @@ class Scalar:
             return NotImplemented
         return self * rhs.inverse()
 
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("scalar powers need a non-negative integer exponent")
@@ -254,9 +242,6 @@ class Scalar:
         if rhs is None:
             return NotImplemented
         return self.coords == rhs.coords
-
-    def __hash__(self):
-        return hash((self.field.min_poly, self.coords))
 
     def __repr__(self):
         if self.field.is_rational:

@@ -14,7 +14,6 @@ The identity names form a closed enumeration:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import linalg
@@ -136,11 +135,6 @@ def relation_kernel(forms, d: int) -> list:
     return linalg.nullspace(rows, len(forms), field)
 
 
-def _triple_rank(forms, field, indices) -> int:
-    rows = [list(forms[i].coeffs) for i in sorted(set(indices))]
-    return linalg.rank(rows)
-
-
 def check_alem_instance(forms, d: int) -> PropertyReport:
     """Check the two-leading-coefficient property of power-sum relations.
 
@@ -167,8 +161,7 @@ def check_alem_instance(forms, d: int) -> PropertyReport:
     for j in range(j_low, 2 * d + 3):
         for k in range(3, d + 3):
             trio = {j, k, k + d}
-            needed = len(trio)
-            if _triple_rank(forms, field, [t - 1 for t in trio]) != needed:
+            if linalg.rank([list(forms[t - 1].coeffs) for t in sorted(trio)]) != len(trio):
                 return report.record(
                     "alem", FAILS,
                     witness={"kind": "dependent_triple", "indices": tuple(sorted(trio))},
@@ -204,12 +197,8 @@ def waring_sufficiency(d: int) -> bool:
     """x1^{d-1} x2 is exactly a combination of d powers of linear forms.
 
     The witness combination is (1/d^2) sum_i z^i (z^i x1 + x2)^d over a
-    primitive d-th root of unity z, verified by full expansion.
+    primitive d-th root of unity z: the identity eq667h divided by d^2.
     """
     if d < 2:
         raise ValueError("needs degree >= 2")
-    field = Field(cyclotomic(d))
-    lhs = _root_average(field, 2, d, 0) * Fraction(1, d * d)
-    x1 = MultiPoly.variable(field, 2, 0)
-    x2 = MultiPoly.variable(field, 2, 1)
-    return lhs == x1 ** (d - 1) * x2
+    return verify_identity("eq667h", d)

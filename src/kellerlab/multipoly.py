@@ -62,16 +62,6 @@ class MultiPoly:
         return cls(field, nvars, {exps: field.one()})
 
     @classmethod
-    def monomial(cls, field: Field, nvars: int, exps, coeff) -> "MultiPoly":
-        exps = tuple(exps)
-        if len(exps) != nvars or any(e < 0 for e in exps):
-            raise ValueError("bad exponent vector")
-        c = _coerce_coeff(field, coeff)
-        if c.is_zero():
-            return cls.zero(field, nvars)
-        return cls(field, nvars, {exps: c})
-
-    @classmethod
     def from_terms(cls, field: Field, nvars: int, items) -> "MultiPoly":
         terms = {}
         for exps, coeff in items:
@@ -111,13 +101,6 @@ class MultiPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items())
-
-    def leading(self):
-        """(exponents, coefficient) of the lex-leading term; None if zero."""
-        if not self.terms:
-            return None
-        exps = max(self.terms)
-        return exps, self.terms[exps]
 
     def homogeneous_parts(self) -> dict:
         """Total degree -> homogeneous component, zero parts omitted."""
@@ -289,9 +272,6 @@ class MultiPoly:
             return NotImplemented
         return self.terms == rhs.terms
 
-    def __hash__(self):
-        return hash((self.field.min_poly, self.nvars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -422,17 +402,10 @@ class LinearForm:
             total = total + c * _coerce_coeff(self.field, b)
         return total
 
-    def scale(self, factor) -> "LinearForm":
-        f = _coerce_coeff(self.field, factor)
-        return LinearForm(self.field, [c * f for c in self.coeffs])
-
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
             return NotImplemented
         return self.field == other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.field.min_poly, self.coeffs))
 
     def __repr__(self):
         return f"LinearForm({list(self.coeffs)!r})"

@@ -1,9 +1,9 @@
 """Polynomial maps and polynomial matrices.
 
 Covers the symbolic machinery the condition checkers sit on: Jacobians,
-composition and linear conjugation, Hadamard-power maps, exact determinant
-and rank over the function field, nilpotency, homogenization and the
-forward-substitution inverse for strictly triangular maps.
+composition, changes of basis and conjugation, Hadamard-power maps, exact
+determinant and rank over the function field, nilpotency, homogenization
+and the forward-substitution inverse for strictly triangular maps.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "hadamard_power_map",
     "linear_combinations",
     "map_compose",
+    "change_basis",
     "conjugate",
     "matrix_det",
     "matrix_rank",
@@ -189,11 +190,6 @@ class PolyMatrix:
         return PolyMatrix([[a + b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
 
-    def __sub__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self + other.scale(-1)
-
     def __matmul__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -266,11 +262,12 @@ def hadamard_power_map(matrix: PolyMatrix, d: int) -> PolyMap:
     return PolyMap([form ** d for form in forms])
 
 
-def linear_combinations(grid, polys, zero: MultiPoly) -> list:
+def linear_combinations(grid, polys, zero) -> list:
     """Row i of the result is sum_j grid[i][j] polys[j] for a scalar grid.
 
-    Zero coefficients and zero polynomials are skipped; `zero` is the zero
-    polynomial of the ring the result lives in.
+    Zero coefficients and zero entries of `polys` are skipped; `zero` is the
+    zero of the ring the result lives in.  `polys` may be polynomials or
+    scalars: with scalars this is the matrix-vector product grid * polys.
     """
     out = []
     for row in grid:
@@ -292,19 +289,32 @@ def map_compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
     return PolyMap(comps)
 
 
+def change_basis(map_: PolyMap, inner, outer) -> PolyMap:
+    """outer F(inner x) for a square map F and n x n scalar grids inner, outer.
+
+    No shape or invertibility check: a caller that already holds T and T^{-1}
+    conjugates with change_basis(F, T, T^{-1}) and undoes it with
+    change_basis(G, T^{-1}, T), inverting nothing.
+    """
+    field, n = map_.field, map_.nvars
+    zero = MultiPoly.zero(field, n)
+    linear = linear_combinations(inner, variables(field, n), zero)
+    images = [c.substitute(linear) for c in map_.components]
+    return PolyMap(linear_combinations(outer, images, zero))
+
+
 def conjugate(map_: PolyMap, t_matrix: PolyMatrix) -> PolyMap:
-    """T^{-1} F(Tx) for a constant invertible T."""
+    """T^{-1} F(Tx) for a constant invertible T: change_basis(F, T, T^{-1}).
+
+    Checks the shapes, inverts T once and raises ValueError when it is singular.
+    """
     if not t_matrix.is_square or t_matrix.rows != map_.nvars or map_.n_out != map_.nvars:
         raise ValueError("conjugation needs matching square shapes")
     grid = t_matrix.constant_grid()
     inv = linalg.invert(grid, map_.field)
     if inv is None:
         raise ValueError("conjugating matrix is singular")
-    field, n = map_.field, map_.nvars
-    zero = MultiPoly.zero(field, n)
-    linear = linear_combinations(grid, variables(field, n), zero)
-    images = [c.substitute(linear) for c in map_.components]
-    return PolyMap(linear_combinations(inv, images, zero))
+    return change_basis(map_, grid, inv)
 
 
 def _grid(matrix: PolyMatrix):

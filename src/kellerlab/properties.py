@@ -37,8 +37,8 @@ from . import linalg
 from .exactfield import Field, Scalar
 from .multipoly import (LinearForm, MultiPoly, is_pure_power, lift_to_field,
                         rename_variables)
-from .polymap import (PolyMap, PolyMatrix, conjugate, jacobian, linear_combinations,
-                      map_compose, matrix_det, matrix_is_nilpotent, invert_triangular,
+from .polymap import (PolyMap, PolyMatrix, change_basis, conjugate, jacobian,
+                      linear_combinations, map_compose, matrix_det, invert_triangular,
                       nonlinear_part)
 
 __all__ = [
@@ -277,13 +277,12 @@ def verify_sum_witness(map_: PolyMap, field: Field, points) -> bool:
 
 
 def _sum_vanishes_at(jf: PolyMatrix, field: Field, points) -> bool:
-    n = jf.nvars
-    acc = None
+    """Is the sum of JF at the points, a scalar matrix over `field`, singular?"""
+    total = [[field.zero()] * jf.cols for _ in range(jf.rows)]
     for point in points:
-        block = jf.map_entries(
-            lambda e: MultiPoly.constant(field, n, lift_to_field(e, field).evaluate(point)))
-        acc = block if acc is None else acc + block
-    return matrix_det(acc).is_zero()
+        total = [[acc + lift_to_field(e, field).evaluate(point) for acc, e in zip(sums, row)]
+                 for sums, row in zip(total, jf.entries)]
+    return linalg.rank(total) < jf.rows
 
 
 def check_sum_condition(map_: PolyMap, count: int, label: str = "sum_condition") -> PropertyReport:
@@ -542,14 +541,9 @@ def verify_star_certificate(map_: PolyMap, cert: StarCertificate,
 
 
 def _conjugated_vectors(c: LinearForm, b, grid, inv):
-    """T^t c and T^{-1} b, skipping the zero entries of c and b."""
-    n = len(grid)
+    """T^t c and T^{-1} b."""
     zero = c.field.zero()
-    tc = [sum((grid[r][m] * c.coeffs[r] for r in range(n) if not c.coeffs[r].is_zero()), zero)
-          for m in range(n)]
-    tinv_b = [sum((inv[i][r] * b[r] for r in range(n) if not b[r].is_zero()), zero)
-              for i in range(n)]
-    return tc, tinv_b
+    return linear_combinations(zip(*grid), c.coeffs, zero), linear_combinations(inv, b, zero)
 
 
 def conjugated_power_term(c: LinearForm, d: int, b, t_matrix: PolyMatrix) -> PolyMap:
@@ -645,10 +639,8 @@ def certificate_from_triangularization(map_: PolyMap, t_matrix: PolyMatrix) -> S
             continue
         col = [grid[r][idx] for r in range(n)]
         for gamma, d, lam in _pure_power_summands(comp):
-            c_vec = [sum((inv[r][m] * gamma.coeffs[r] for r in range(n)), field.zero())
-                     for m in range(n)]
-            b_vec = [lam * v for v in col]
-            triples.append((LinearForm(field, c_vec), d, b_vec))
+            c_vec = linear_combinations(zip(*inv), gamma.coeffs, field.zero())  # T^{-t} gamma
+            triples.append((LinearForm(field, c_vec), d, [lam * v for v in col]))
     cert = StarCertificate("star", triples)
     failure = certificate_failure(map_, cert)
     if failure is not None:
@@ -780,9 +772,10 @@ def _exhibit_inverse(shared: _MapAnalysis):
         return invert_triangular(map_), "forward substitution on the triangular form"
     t_matrix = shared.flag[0]
     if t_matrix is not None:
-        inv_grid = linalg.invert(t_matrix.constant_grid(), map_.field)
-        t_inv = PolyMatrix.from_scalars(map_.field, map_.nvars, inv_grid)
-        inverse = conjugate(invert_triangular(conjugate(map_, t_matrix)), t_inv)
+        grid = t_matrix.constant_grid()
+        inv = linalg.invert(grid, map_.field)
+        # F^{-1} = T G^{-1}(T^{-1} x) for the triangular G = T^{-1} F(Tx)
+        inverse = change_basis(invert_triangular(change_basis(map_, grid, inv)), inv, grid)
         return inverse, "inverted after triangularization by the strong-nilpotence flag"
     return None
 
@@ -820,10 +813,11 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
             report.record("keller", FAILS,
                           witness={"kind": "symbolic_determinant", "determinant": det})
     if "nilpotent" in wanted:
-        if shared.strongly_nilpotent or matrix_is_nilpotent(shared.jh):
+        power = None if shared.strongly_nilpotent else shared.jh.power(n)
+        if power is None or power.is_zero():
             report.record("nilpotent", HOLDS)
         else:
-            report.record("nilpotent", FAILS, witness=_entry_witness(shared.jh.power(n)),
+            report.record("nilpotent", FAILS, witness=_entry_witness(power),
                           note="JH^n has a nonzero entry")
     if "quasi" in wanted:
         residual = shared.quasi_residual

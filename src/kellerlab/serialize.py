@@ -8,7 +8,6 @@ so identical objects always serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .exactfield import Field, Scalar
 from .multipoly import LinearForm, MultiPoly
@@ -26,12 +25,8 @@ __all__ = [
 ]
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 def field_to_json(field: Field) -> dict:
-    return {"min_poly": [_frac_str(c) for c in field.min_poly]}
+    return {"min_poly": [str(c) for c in field.min_poly]}
 
 
 def field_from_json(data: dict) -> Field:
@@ -39,7 +34,7 @@ def field_from_json(data: dict) -> Field:
 
 
 def scalar_to_json(value: Scalar) -> list:
-    return [_frac_str(c) for c in value.coords]
+    return [str(c) for c in value.coords]
 
 
 def scalar_from_json(data, field: Field) -> Scalar:
@@ -144,16 +139,10 @@ def _witness_to_json(value):
         return poly_to_json(value)
     if isinstance(value, PolyMap):
         return map_to_json(value)
-    if isinstance(value, PolyMatrix):
-        return matrix_to_json(value)
-    if isinstance(value, LinearForm):
-        return [scalar_to_json(c) for c in value.coeffs]
     if isinstance(value, StarCertificate):
         return certificate_to_json(value)
     if isinstance(value, Field):
         return field_to_json(value)
-    if isinstance(value, Fraction):
-        return _frac_str(value)
     if isinstance(value, dict):
         return {k: _witness_to_json(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -308,3 +308,22 @@ def test_gen_analyze_round_trip_matches_library(tmp_path, family, degree):
     h = make_family(FamilySpec(family, degree))
     direct = chain_report(plus_identity(h)).conditions
     assert from_cli == dict(sorted(direct.items()))
+
+
+@pytest.mark.parametrize("min_poly, coeff", [
+    (["0", "1"], ["1/0"]), (["1/0", "1"], ["1"]), (["0", "1"], [True]), ([0, True], ["1"]),
+], ids=["coeff 1/0", "min_poly 1/0", "coeff true", "min_poly true"])
+def test_bad_rationals_are_input_errors(tmp_path, capsys, min_poly, coeff):
+    # H = (0, c x1^2) over Q[t]/(min_poly)
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({
+        "field": {"min_poly": min_poly},
+        "nvars": 2,
+        "components": [{"nvars": 2, "terms": []},
+                       {"nvars": 2, "terms": [{"exps": [2, 0], "coeff": coeff}]}],
+    }))
+    for checks in ("all", "keller"):
+        assert main(["analyze", str(map_path), "--checks", checks]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert main(["certify", str(map_path), str(_square_cert(tmp_path, 2))]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -336,3 +336,18 @@ def test_compose_dimension_mismatch():
     g = PolyMap([x1, x2, x1 * x2])
     with pytest.raises(ValueError):
         map_compose(f, g)
+
+
+def test_change_basis_conjugates_and_undoes():
+    from kellerlab import linalg
+    from kellerlab.polymap import change_basis
+
+    # T = I + the superdiagonal, unipotent
+    h = make_family(FamilySpec("n5", 2))
+    t = PolyMatrix.from_scalars(QQ, 5, [[int(j - i in (0, 1)) for j in range(5)]
+                                        for i in range(5)])
+    grid = t.constant_grid()
+    inv = linalg.invert(grid, QQ)
+    hidden = change_basis(h, grid, inv)
+    assert hidden == conjugate(h, t) != h
+    assert change_basis(hidden, inv, grid) == h

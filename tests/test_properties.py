@@ -654,3 +654,49 @@ def test_jc_failure_with_large_coefficients_is_fast():
     witness = rep.witness("jc")
     assert witness["kind"] == "symbolic_determinant"
     assert not witness["determinant"].is_constant()
+
+
+@pytest.mark.parametrize("comps", [
+    lambda x1, x2: (MultiPoly.zero(QQ, 2), x1 ** 2),
+    lambda x1, x2: ((x1 - x2) ** 2, (x1 - x2) ** 2),
+], ids=["0,x1^2", "(x1-x2)^2,(x1-x2)^2"])
+def test_single_term_oracle_holds_in_two_variables(comps):
+    h = PolyMap(comps(*variables(QQ, 2)))
+    rep = chain_report(plus_identity(h), checks=["doublestar", "triplestar"])
+    for level in ("doublestar", "triplestar"):
+        assert rep.verdict(level) == HOLDS
+        assert rep.notes[level] == "single-term oracle"
+        cert = rep.witness(level)["certificate"]
+        assert cert.level == level and cert.count == 1
+        assert certificate_failure(h, cert, level=level) is None
+
+
+def test_one_variable_oracle_fails():
+    (x1,) = variables(QQ, 1)
+    rep = chain_report(plus_identity(PolyMap([x1 ** 2])), checks=["doublestar", "triplestar"])
+    for level in ("doublestar", "triplestar"):
+        assert rep.verdict(level) == FAILS
+        assert rep.notes[level] == "a nonzero one-variable map is no empty sum"
+        assert rep.witness(level) is None
+
+
+def test_univariate_rational_roots_at_zero():
+    from kellerlab.properties import _univariate_rational_roots
+
+    (s,) = variables(QQ, 1)
+    assert _univariate_rational_roots(s ** 3 - s ** 2) == [0, 1]
+    assert _univariate_rational_roots(s ** 2) == [0]
+    assert _univariate_rational_roots(MultiPoly.zero(QQ, 1)) == []
+
+
+def test_jc_minus_inverts_the_flags_t_once(monkeypatch):
+    # G = T^{-1} F(Tx) is inverted and conjugated back with one T^{-1}
+    f = plus_identity(conjugate(make_family(FamilySpec("f666", 2, n=4)),
+                                _mix_first_and_last(4)))
+    calls = []
+    invert = linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda *args: calls.append(args) or invert(*args))
+    rep = chain_report(f, checks=["jc_minus"])
+    assert rep.notes["jc_minus"] == "inverted after triangularization by the strong-nilpotence flag"
+    assert len(calls) == 1
+    assert map_compose(f, rep.witness("jc_minus")["map"]) == PolyMap.identity(QQ, 4)
