@@ -1,0 +1,94 @@
+"""Layer microbenchmark for the exact scalar and polynomial kernels.
+
+    python3 bench/microbench.py
+
+Run it from any directory; it imports the program from the `src` directory
+next to this file, so a checkout of another commit measures that commit.
+Each kernel is timed with `timeit`, a fixed number of calls per repeat, and
+the best of 7 repeats is reported in microseconds per call.  The kernels:
+
+- `fraction_mul`: a bare `Fraction * Fraction`, the floor for a product over Q;
+- `scalar_mul_q`, `scalar_add_q`: `Scalar * Scalar` and `Scalar + Scalar` over Q;
+- `scalar_mul_zeta5`: `Scalar * Scalar` over Q(zeta_5), four nonzero coordinates;
+- `multipoly_mul_q`: a seeded 30-term by 30-term `MultiPoly` product over Q
+  in 6 variables.
+
+Prints one JSON object with the machine, the Python version, the repeat
+count and, per kernel, the calls per repeat and the best time per call.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+import sys
+import timeit
+from fractions import Fraction
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
+from kellerlab.multipoly import MultiPoly  # noqa: E402
+
+REPEAT = 7
+SEED = 6
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _random_poly(rng, nvars, nterms):
+    terms = {}
+    while len(terms) < nterms:
+        exps = tuple(rng.randint(0, 3) for _ in range(nvars))
+        terms[exps] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return MultiPoly.from_terms(QQ, nvars, terms.items())
+
+
+def kernels():
+    """(name, zero-argument callable, calls per repeat) for every kernel."""
+    fa, fb = Fraction(-7, 12), Fraction(5, 18)
+    qa, qb = QQ.scalar(fa), QQ.scalar(fb)
+    z5 = Field(cyclotomic(5))
+    za = z5.element([Fraction(3, 4), -2, Fraction(1, 3), 5])
+    zb = z5.element([-1, Fraction(2, 5), 7, Fraction(-3, 2)])
+    rng = random.Random(SEED)
+    pa, pb = _random_poly(rng, 6, 30), _random_poly(rng, 6, 30)
+    return [
+        ("fraction_mul", lambda: fa * fb, 20000),
+        ("scalar_mul_q", lambda: qa * qb, 20000),
+        ("scalar_add_q", lambda: qa + qb, 20000),
+        ("scalar_mul_zeta5", lambda: za * zb, 2000),
+        ("multipoly_mul_q", lambda: pa * pb, 20),
+    ]
+
+
+def main():
+    results = {}
+    for name, call, number in kernels():
+        best = min(timeit.repeat(call, number=number, repeat=REPEAT)) / number
+        results[name] = {"calls_per_repeat": number, "best_us": round(best * 1e6, 3)}
+    print(json.dumps({
+        "machine": platform.machine(),
+        "cpu": _cpu_model(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "repeat": REPEAT,
+        "seed": SEED,
+        "results": results,
+    }, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

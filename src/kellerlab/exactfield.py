@@ -6,15 +6,26 @@ Scalars are residue classes modulo m, stored as coordinate vectors in the
 power basis 1, t, ..., t^(deg m - 1) with `fractions.Fraction` entries, so
 every operation is exact and no floating point appears anywhere.
 
-Reducible minimal polynomials are accepted (the quotient is then only a
-ring); division raises when the divisor is not invertible modulo m.
+A product does no polynomial division.  The schoolbook product of the
+coordinates, skipping zeros, is folded down from the top with the relation
+t^deg = sum_i -m_i t^i, whose nonzero terms each Field tabulates once; the
+fold holds for any monic m.  Over Q (m = t, one coordinate) there is nothing
+to fold and the product is one coordinate product.  Inverses use the
+extended Euclidean algorithm.
+
+Reducible minimal polynomials are accepted by the library (the quotient is
+then only a ring), and division raises when the divisor is not invertible
+modulo m.  Map files, and so the certificates read against them, are
+stricter: `serialize` rejects a min_poly of degree two or more whose
+`rational_roots` finds a root.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-__all__ = ["Field", "Scalar", "QQ", "cyclotomic"]
+__all__ = ["Field", "Scalar", "QQ", "cyclotomic", "rational_roots"]
 
 
 def as_fraction(value) -> Fraction:
@@ -26,7 +37,11 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-# Dense univariate helpers on ascending Fraction lists with no trailing zeros.
+_ZERO = Fraction(0)
+
+
+# Dense univariate helpers on ascending Fraction lists with no trailing zeros;
+# used by inverses and by `cyclotomic`.
 
 def _trim(coeffs):
     while coeffs and coeffs[-1] == 0:
@@ -87,7 +102,7 @@ def _uxgcd(a, b):
 class Field:
     """Q[t]/(m(t)) for a monic rational m(t); degree one is plain Q."""
 
-    __slots__ = ("min_poly",)
+    __slots__ = ("min_poly", "fold")
 
     def __init__(self, min_poly):
         coeffs = tuple(as_fraction(c) for c in min_poly)
@@ -96,6 +111,8 @@ class Field:
         if coeffs[-1] != 1:
             raise ValueError("min_poly must be monic")
         self.min_poly = coeffs
+        # t^deg = sum of -m_i t^i over the nonzero m_i
+        self.fold = tuple((i, -c) for i, c in enumerate(coeffs[:-1]) if c)
 
     @property
     def degree(self) -> int:
@@ -161,17 +178,17 @@ class Scalar:
         self.coords = coords
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction; raises if any extension part is present."""
-        if any(c != 0 for c in self.coords[1:]):
+        if any(self.coords[1:]):
             raise ValueError("scalar has a nonzero extension component")
         return self.coords[0]
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("scalars belong to different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -199,10 +216,22 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        prod = _umul(list(self.coords), list(rhs.coords))
-        _, rem = _udivmod(prod, list(self.field.min_poly))
-        rem.extend([Fraction(0)] * (self.field.degree - len(rem)))
-        return Scalar(self.field, tuple(rem))
+        a, b = self.coords, rhs.coords
+        deg = len(a)
+        prod = [_ZERO] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        fold = self.field.fold
+        for k in range(2 * deg - 2, deg - 1, -1):
+            top = prod[k]
+            if top:
+                base = k - deg
+                for i, c in fold:
+                    prod[base + i] += top * c
+        return Scalar(self.field, tuple(prod[:deg]))
 
     __rmul__ = __mul__
 
@@ -284,3 +313,57 @@ def cyclotomic(d: int) -> list:
     if any(c.denominator != 1 for c in phis[d]):
         raise ArithmeticError("cyclotomic coefficients must be integers")
     return [int(c) for c in phis[d]]
+
+
+# Candidate roots p/q need the divisors of the constant and the leading
+# coefficient, found by trial division up to their square roots; past this
+# bound (about 10^5 divisions) the search is not run at all.
+_ROOT_SEARCH_LIMIT = 10 ** 10
+
+
+def rational_roots(coeffs):
+    """All rational roots of sum_i coeffs[i] t^i, ascending; [] for zero.
+
+    The coefficients are exact rationals.  None when a coefficient that
+    bounds the candidates exceeds _ROOT_SEARCH_LIMIT, so the roots are not
+    known.
+    """
+    coeffs = {e: as_fraction(c) for e, c in enumerate(coeffs) if c}
+    if not coeffs:
+        return []
+    low = min(coeffs)
+    if low > 0:
+        # factor out t^low; t = 0 is a root
+        coeffs = {e - low: c for e, c in coeffs.items()}
+    deg = max(coeffs)
+    if deg == 0:
+        return [Fraction(0)] if low > 0 else []
+    denom_lcm = 1
+    for c in coeffs.values():
+        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    ints = {e: int(c * denom_lcm) for e, c in coeffs.items()}
+    lead = ints[deg]
+    const = ints[0]
+    if max(abs(lead), abs(const)) > _ROOT_SEARCH_LIMIT:
+        return None
+    roots = set([Fraction(0)]) if low > 0 else set()
+    lead_divisors = _divisors(abs(lead))
+    for p in _divisors(abs(const)):
+        for q in lead_divisors:
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                val = sum(c * cand ** e for e, c in ints.items())
+                if val == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def _divisors(n):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)

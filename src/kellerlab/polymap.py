@@ -21,6 +21,7 @@ __all__ = [
     "map_compose",
     "change_basis",
     "conjugate",
+    "conjugation_grids",
     "matrix_det",
     "matrix_rank",
     "matrix_is_nilpotent",
@@ -303,18 +304,26 @@ def change_basis(map_: PolyMap, inner, outer) -> PolyMap:
     return PolyMap(linear_combinations(outer, images, zero))
 
 
-def conjugate(map_: PolyMap, t_matrix: PolyMatrix) -> PolyMap:
-    """T^{-1} F(Tx) for a constant invertible T: change_basis(F, T, T^{-1}).
+def conjugation_grids(t_matrix: PolyMatrix, field: Field, n: int):
+    """The scalar grids of a constant n x n matrix T over `field` and of T^{-1}.
 
-    Checks the shapes, inverts T once and raises ValueError when it is singular.
+    The one place a conjugating T is inverted; raises ValueError when T is not
+    n x n or is singular.
     """
-    if not t_matrix.is_square or t_matrix.rows != map_.nvars or map_.n_out != map_.nvars:
+    if not t_matrix.is_square or t_matrix.rows != n:
         raise ValueError("conjugation needs matching square shapes")
     grid = t_matrix.constant_grid()
-    inv = linalg.invert(grid, map_.field)
+    inv = linalg.invert(grid, field)
     if inv is None:
         raise ValueError("conjugating matrix is singular")
-    return change_basis(map_, grid, inv)
+    return grid, inv
+
+
+def conjugate(map_: PolyMap, t_matrix: PolyMatrix) -> PolyMap:
+    """T^{-1} F(Tx) for a constant invertible T: change_basis(F, T, T^{-1})."""
+    if not map_.is_square:
+        raise ValueError("conjugation needs matching square shapes")
+    return change_basis(map_, *conjugation_grids(t_matrix, map_.field, map_.nvars))
 
 
 def _grid(matrix: PolyMatrix):

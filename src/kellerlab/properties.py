@@ -28,16 +28,15 @@ negative: the verdict is holds only when an inverse is exhibited.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .exactfield import Field, Scalar
+from .exactfield import Field, Scalar, rational_roots
 from .multipoly import (LinearForm, MultiPoly, is_pure_power, lift_to_field,
                         rename_variables)
-from .polymap import (PolyMap, PolyMatrix, change_basis, conjugate, jacobian,
+from .polymap import (PolyMap, PolyMatrix, change_basis, conjugation_grids, jacobian,
                       linear_combinations, map_compose, matrix_det, invert_triangular,
                       nonlinear_part)
 
@@ -155,61 +154,14 @@ def substituted_jacobian_sum(map_: PolyMap, count: int) -> PolyMatrix:
     return _fresh_copies(jacobian(map_), count, operator.add)
 
 
-# Candidate roots p/q need the divisors of the constant and the leading
-# coefficient, found by trial division up to their square roots; past this
-# bound (about 10^5 divisions) the search is not run at all.
-_ROOT_SEARCH_LIMIT = 10 ** 10
-
-
 def _univariate_rational_roots(poly: MultiPoly):
-    """All rational roots of a univariate polynomial over Q, ascending.
-
-    None when a coefficient that bounds the candidates exceeds
-    _ROOT_SEARCH_LIMIT, so the roots are not known.
-    """
+    """`rational_roots` of a univariate polynomial over Q."""
     if poly.nvars != 1 or not poly.field.is_rational:
         raise ValueError("rational root search needs a univariate rational polynomial")
-    coeffs = {}
-    for exps, coeff in poly.terms.items():
-        coeffs[exps[0]] = coeff.as_rational()
-    if not coeffs:
-        return []
-    low = min(coeffs)
-    if low > 0:
-        # factor out t^low; t = 0 is a root
-        coeffs = {e - low: c for e, c in coeffs.items()}
-    deg = max(coeffs)
-    if deg == 0:
-        return [Fraction(0)] if low > 0 else []
-    denom_lcm = 1
-    for c in coeffs.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = {e: int(c * denom_lcm) for e, c in coeffs.items()}
-    lead = ints[deg]
-    const = ints[0]
-    if max(abs(lead), abs(const)) > _ROOT_SEARCH_LIMIT:
-        return None
-    roots = set([Fraction(0)]) if low > 0 else set()
-    lead_divisors = _divisors(abs(lead))
-    for p in _divisors(abs(const)):
-        for q in lead_divisors:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = sum(c * cand ** e for e, c in ints.items())
-                if val == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    dense = [Fraction(0)] * (max((e for (e,) in poly.terms), default=-1) + 1)
+    for (e,), coeff in poly.terms.items():
+        dense[e] = coeff.as_rational()
+    return rational_roots(dense)
 
 
 def _point_witness(jf: PolyMatrix, det: MultiPoly, count: int):
@@ -548,10 +500,7 @@ def _conjugated_vectors(c: LinearForm, b, grid, inv):
 
 def conjugated_power_term(c: LinearForm, d: int, b, t_matrix: PolyMatrix) -> PolyMap:
     """The map T^{-1} (c^t T x)^d b, one certificate term after conjugation."""
-    grid = t_matrix.constant_grid()
-    inv = linalg.invert(grid, c.field)
-    if inv is None:
-        raise ValueError("conjugating matrix is singular")
+    grid, inv = conjugation_grids(t_matrix, c.field, c.nvars)
     tc, tinv_b = _conjugated_vectors(c, b, grid, inv)
     power = LinearForm(c.field, tc).to_poly() ** d
     return PolyMap([power * coeff for coeff in tinv_b])
@@ -586,8 +535,7 @@ def triangularization_from_certificate(cert: StarCertificate, n: int,
     if violated is not None:
         raise ValueError(f"orthogonality violated at {violated}")
     t_matrix = _adapted_basis([b for _, _, b in reversed(cert.triples)], field, n)
-    grid = t_matrix.constant_grid()
-    inv = linalg.invert(grid, field)
+    grid, inv = conjugation_grids(t_matrix, field, n)
     for c, _, b in cert.triples:
         if not _term_is_triangular(c, b, grid, inv):
             raise ArithmeticError("constructed matrix failed to triangularize a term")
@@ -628,11 +576,10 @@ def certificate_from_triangularization(map_: PolyMap, t_matrix: PolyMatrix) -> S
     if not map_.is_square:
         raise ValueError("triangularization applies to square maps")
     field, n = map_.field, map_.nvars
-    conjugated = conjugate(map_, t_matrix)
+    grid, inv = conjugation_grids(t_matrix, field, n)
+    conjugated = change_basis(map_, grid, inv)
     if not jacobian(conjugated).is_lower_triangular(strict=True):
         raise ValueError("conjugated Jacobian is not strictly lower triangular")
-    grid = t_matrix.constant_grid()
-    inv = linalg.invert(grid, field)
     triples = []
     for idx, comp in enumerate(conjugated.components):
         if comp.is_zero():
@@ -772,8 +719,7 @@ def _exhibit_inverse(shared: _MapAnalysis):
         return invert_triangular(map_), "forward substitution on the triangular form"
     t_matrix = shared.flag[0]
     if t_matrix is not None:
-        grid = t_matrix.constant_grid()
-        inv = linalg.invert(grid, map_.field)
+        grid, inv = conjugation_grids(t_matrix, map_.field, map_.nvars)
         # F^{-1} = T G^{-1}(T^{-1} x) for the triangular G = T^{-1} F(Tx)
         inverse = change_basis(invert_triangular(change_basis(map_, grid, inv)), inv, grid)
         return inverse, "inverted after triangularization by the strong-nilpotence flag"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .exactfield import Field, Scalar
+from .exactfield import Field, Scalar, rational_roots
 from .multipoly import LinearForm, MultiPoly
 from .polymap import PolyMap, PolyMatrix
 from .properties import PropertyReport, StarCertificate
@@ -30,7 +30,14 @@ def field_to_json(field: Field) -> dict:
 
 
 def field_from_json(data: dict) -> Field:
-    return Field(data["min_poly"])
+    """Q[t]/(min_poly); ValueError when a min_poly of degree >= 2 has a rational
+    root.  Coefficients past the bounded root search are accepted unchecked."""
+    field = Field(data["min_poly"])
+    if field.degree >= 2:
+        roots = rational_roots(field.min_poly)
+        if roots:
+            raise ValueError(f"min_poly has the rational root {roots[0]}, so it does not define a field")
+    return field
 
 
 def scalar_to_json(value: Scalar) -> list:

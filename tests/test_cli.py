@@ -241,7 +241,8 @@ def _reducible_field_map(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("checks", ["triplestar", "all", "keller", "strong-nilpotent"])
+@pytest.mark.parametrize("checks", ["triplestar", "all", "keller", "strong-nilpotent",
+                                    "quasi", "jc-plus", "doublestar"])
 def test_analyze_reducible_min_poly_is_input_error(tmp_path, capsys, checks):
     # 1 + t is a zero divisor modulo t^2 - 1, so elimination cannot divide by it
     map_path = _reducible_field_map(tmp_path)

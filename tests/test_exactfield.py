@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kellerlab.exactfield import QQ, Field, cyclotomic
+from kellerlab.exactfield import QQ, Field, cyclotomic, rational_roots
 
 
 def test_degree_one_field_is_plain_rationals():
@@ -167,3 +168,122 @@ def test_scalar_power():
     z = Field(cyclotomic(5)).generator()
     assert z ** 0 == 1
     assert z ** 7 == z ** 2
+
+
+# -- the product without division against the long-division reference ---------
+
+def _ref_trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _ref_umul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _ref_trim(out)
+
+
+def _ref_usub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, ai in enumerate(a):
+        out[i] += ai
+    for i, bi in enumerate(b):
+        out[i] -= bi
+    return _ref_trim(out)
+
+
+def _ref_udivmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        pos = len(rem) - len(b)
+        quo[pos] = f
+        for i, bi in enumerate(b):
+            rem[pos + i] -= f * bi
+        _ref_trim(rem)
+    return _ref_trim(quo), rem
+
+
+def _ref_reduce(field, poly):
+    _, rem = _ref_udivmod(poly, list(field.min_poly))
+    return tuple(rem + [Fraction(0)] * (field.degree - len(rem)))
+
+
+def _ref_mul(a, b):
+    """The product as a polynomial product followed by long division by m(t)."""
+    return _ref_reduce(a.field, _ref_umul(list(a.coords), list(b.coords)))
+
+
+def _ref_inverse(a):
+    """s with s*a + u*m = 1 from the extended Euclidean algorithm, reduced mod m."""
+    r0, r1 = list(a.field.min_poly), _ref_trim(list(a.coords))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _ref_udivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_usub(s0, _ref_umul(q, s1))
+    assert len(r0) == 1, "not invertible"
+    return _ref_reduce(a.field, [c / r0[0] for c in s0])
+
+
+# (field, compare inverses); Q[t]/(t^2) and Q[t]/(t^2 - 1) have zero divisors
+_KERNEL_CASES = ([(f, True) for f in (QQ, Field([1, 0, 1]), Field(cyclotomic(3)),
+                                      Field(cyclotomic(5)), Field(cyclotomic(7)),
+                                      Field([-2, 0, 0, 1]))]
+                 + [(Field([0, 0, 1]), False), (Field([-1, 0, 1]), False)])
+
+
+def _check_against_reference(a, b, invertible):
+    assert (a * b).coords == _ref_mul(a, b)
+    assert (a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+    assert (a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+    if invertible and not b.is_zero():
+        assert b.inverse().coords == _ref_inverse(b)
+
+
+def test_kernel_matches_long_division_reference_fuzz():
+    rng = random.Random(6061)
+
+    def coordinate():
+        # a third of the coordinates are zero, so the zero skips are exercised
+        if rng.random() < 1 / 3:
+            return Fraction(0)
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    for trial in range(400):
+        field, invertible = _KERNEL_CASES[trial % len(_KERNEL_CASES)]
+        a, b = (field.element([coordinate() for _ in range(field.degree)]) for _ in range(2))
+        _check_against_reference(a, b, invertible)
+
+
+_COORDINATE = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_KERNEL_CASES), st.data())
+def test_kernel_matches_long_division_reference_property(case, data):
+    field, invertible = case
+    coords = st.lists(_COORDINATE, min_size=field.degree, max_size=field.degree)
+    a, b = field.element(data.draw(coords)), field.element(data.draw(coords))
+    _check_against_reference(a, b, invertible)
+
+
+def test_rational_inverse_of_zero_names_min_poly():
+    with pytest.raises(ZeroDivisionError, match="not invertible modulo min_poly: zero"):
+        QQ.zero().inverse()
+
+
+def test_rational_roots_of_a_coefficient_list():
+    assert rational_roots([-1, 0, 1]) == [-1, 1]
+    assert rational_roots([Fraction(1, 4), -1, 1]) == [Fraction(1, 2)]
+    assert rational_roots([0, 0, 1]) == [0]
+    assert rational_roots([-2, 0, 1]) == []
+    assert rational_roots([]) == []
+    # a constant past the search bound leaves the roots unknown
+    assert rational_roots([-(10 ** 11), 0, 1]) is None

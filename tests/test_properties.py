@@ -700,3 +700,16 @@ def test_jc_minus_inverts_the_flags_t_once(monkeypatch):
     assert rep.notes["jc_minus"] == "inverted after triangularization by the strong-nilpotence flag"
     assert len(calls) == 1
     assert map_compose(f, rep.witness("jc_minus")["map"]) == PolyMap.identity(QQ, 4)
+
+
+def test_certificate_round_trip_inverts_t_once(monkeypatch):
+    # the conjugation and the rows T^{-t} gamma share one T^{-1}
+    spec = FamilySpec("f666", 3, nu=1)
+    h, cert = make_family(spec), family_certificate(spec)
+    t_matrix = triangularization_from_certificate(cert, h.nvars)
+    calls = []
+    invert = linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda *args: calls.append(args) or invert(*args))
+    back = certificate_from_triangularization(h, t_matrix)
+    assert len(calls) == 1
+    assert verify_star_certificate(h, back)

@@ -20,6 +20,21 @@ def test_field_round_trip():
         assert serialize.field_from_json(data) == field
 
 
+@pytest.mark.parametrize("min_poly", [["-1", "0", "1"], ["0", "0", "1"], ["-8", "0", "0", "1"],
+                                      ["1/4", "-1", "1"]])
+def test_field_from_json_rejects_a_rational_root(min_poly):
+    with pytest.raises(ValueError, match="rational root"):
+        serialize.field_from_json({"min_poly": min_poly})
+
+
+@pytest.mark.parametrize("min_poly", [["-3", "1"], ["-2", "0", "1"], ["-2", "0", "0", "1"],
+                                      ["1", "1", "1", "1", "1"]])
+def test_field_from_json_accepts_min_poly_without_rational_root(min_poly):
+    # degree one is Q itself, whatever its root
+    field = serialize.field_from_json({"min_poly": min_poly})
+    assert field.min_poly == tuple(Fraction(c) for c in min_poly)
+
+
 def test_scalar_round_trip():
     field = Field(cyclotomic(5))
     value = field.element([1, Fraction(-2, 3), 0, 4])
