@@ -11,7 +11,14 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
 - `scalar_mul_q`, `scalar_add_q`: `Scalar * Scalar` and `Scalar + Scalar` over Q;
 - `scalar_mul_zeta5`: `Scalar * Scalar` over Q(zeta_5), four nonzero coordinates;
 - `multipoly_mul_q`: a seeded 30-term by 30-term `MultiPoly` product over Q
-  in 6 variables.
+  in 6 variables;
+- `multipoly_mul_zeta5`: the same shape over Q(zeta_5), every coefficient with
+  four random rational coordinates;
+- `multipoly_substitute_q`: a dense cubic in 4 variables under a linear change
+  of variables with two +-1 entries per row, the way `change_basis` does it;
+- `divide_exact_q`: a seeded 12-term by 12-term product divided by one factor;
+- `matrix_det_q`: a 5 x 5 Bareiss determinant whose entries are random linear
+  polynomials in 3 variables.
 
 Prints one JSON object with the machine, the Python version, the repeat
 count and, per kernel, the calls per repeat and the best time per call.
@@ -31,7 +38,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
-from kellerlab.multipoly import MultiPoly  # noqa: E402
+from kellerlab.multipoly import MultiPoly, divide_exact, variables  # noqa: E402
+from kellerlab.polymap import PolyMatrix, linear_combinations, matrix_det  # noqa: E402
 
 REPEAT = 7
 SEED = 6
@@ -48,12 +56,46 @@ def _cpu_model():
     return platform.processor() or platform.machine()
 
 
-def _random_poly(rng, nvars, nterms):
+def _random_rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+def _random_poly(rng, nvars, nterms, field=QQ):
     terms = {}
     while len(terms) < nterms:
         exps = tuple(rng.randint(0, 3) for _ in range(nvars))
-        terms[exps] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-    return MultiPoly.from_terms(QQ, nvars, terms.items())
+        terms[exps] = field.element([_random_rational(rng) for _ in range(field.degree)])
+    return MultiPoly.from_terms(field, nvars, terms.items())
+
+
+def _dense_cubic(rng, nvars):
+    return MultiPoly.from_terms(QQ, nvars, [(e, _random_rational(rng)) for e in _exponents(nvars, 3)])
+
+
+def _exponents(nvars, degree):
+    """Every exponent vector of total degree at most `degree`."""
+    if nvars == 0:
+        yield ()
+        return
+    for first in range(degree + 1):
+        for rest in _exponents(nvars - 1, degree - first):
+            yield (first,) + rest
+
+
+def _sign_change_of_variables(rng, nvars):
+    """x_i -> +-x_j +-x_k: two +-1 entries per row, as in a conjugating T."""
+    grid = [[QQ.zero()] * nvars for _ in range(nvars)]
+    for row in grid:
+        for j in rng.sample(range(nvars), 2):
+            row[j] = QQ.scalar(rng.choice((-1, 1)))
+    return linear_combinations(grid, variables(QQ, nvars), MultiPoly.zero(QQ, nvars))
+
+
+def _linear_matrix(rng, size, nvars):
+    one_and_xs = [MultiPoly.constant(QQ, nvars, 1)] + variables(QQ, nvars)
+    return PolyMatrix([[sum((p * rng.randint(-3, 3) for p in one_and_xs),
+                            MultiPoly.zero(QQ, nvars))
+                        for _ in range(size)] for _ in range(size)])
 
 
 def kernels():
@@ -65,12 +107,21 @@ def kernels():
     zb = z5.element([-1, Fraction(2, 5), 7, Fraction(-3, 2)])
     rng = random.Random(SEED)
     pa, pb = _random_poly(rng, 6, 30), _random_poly(rng, 6, 30)
+    za_poly, zb_poly = _random_poly(rng, 6, 30, z5), _random_poly(rng, 6, 30, z5)
+    cubic, linear = _dense_cubic(rng, 4), _sign_change_of_variables(rng, 4)
+    qa_poly, qb_poly = _random_poly(rng, 4, 12), _random_poly(rng, 4, 12)
+    product = qa_poly * qb_poly
+    matrix = _linear_matrix(rng, 5, 3)
     return [
         ("fraction_mul", lambda: fa * fb, 20000),
         ("scalar_mul_q", lambda: qa * qb, 20000),
         ("scalar_add_q", lambda: qa + qb, 20000),
         ("scalar_mul_zeta5", lambda: za * zb, 2000),
         ("multipoly_mul_q", lambda: pa * pb, 20),
+        ("multipoly_mul_zeta5", lambda: za_poly * zb_poly, 5),
+        ("multipoly_substitute_q", lambda: cubic.substitute(linear), 20),
+        ("divide_exact_q", lambda: divide_exact(product, qb_poly), 20),
+        ("matrix_det_q", lambda: matrix_det(matrix), 2),
     ]
 
 

@@ -72,6 +72,17 @@ def _load_map(path: str) -> PolyMap:
         return serialize.map_from_json(json.load(handle))
 
 
+def _write(path: str, text: str) -> bool:
+    """Write an output file; False, with the error printed, when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_gen(args) -> int:
     try:
         nu = None if args.nu is None else Fraction(args.nu)
@@ -80,8 +91,8 @@ def cmd_gen(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(serialize.dumps(serialize.map_to_json(family)))
+    if not _write(args.out, serialize.dumps(serialize.map_to_json(family))):
+        return 2
     field_desc = "QQ" if family.field.is_rational else \
         "QQ[t]/(" + ",".join(str(c) for c in family.field.min_poly) + ")"
     print(f"{args.family} d={spec.d} n={family.nvars} field={field_desc} -> {args.out}")
@@ -111,8 +122,8 @@ def cmd_analyze(args) -> int:
         return 2
     payload = serialize.dumps(serialize.report_to_json(report))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        if not _write(args.report, payload):
+            return 2
     else:
         sys.stdout.write(payload)
     verdicts = [report.verdict(c) for c in wanted]

@@ -7,17 +7,21 @@ power basis 1, t, ..., t^(deg m - 1) with `fractions.Fraction` entries, so
 every operation is exact and no floating point appears anywhere.
 
 A product does no polynomial division.  The schoolbook product of the
-coordinates, skipping zeros, is folded down from the top with the relation
-t^deg = sum_i -m_i t^i, whose nonzero terms each Field tabulates once; the
-fold holds for any monic m.  Over Q (m = t, one coordinate) there is nothing
-to fold and the product is one coordinate product.  Inverses use the
-extended Euclidean algorithm.
+coordinates, skipping zeros, is folded down from the top (`Field.reduce`)
+with the relation t^deg = sum_i -m_i t^i, whose nonzero terms each Field
+tabulates once in `Field.fold`; the fold holds for any monic m.  Integral
+table entries (every cyclotomic m) are stored as int, so folding a product
+of integers, as `multipoly` does, stays in integers; a non-integral m folds
+in Fractions through the same code.  Over Q (m = t, one coordinate) there
+is nothing to fold and the product is one coordinate product.  Inverses use
+the extended Euclidean algorithm.
 
 Reducible minimal polynomials are accepted by the library (the quotient is
 then only a ring), and division raises when the divisor is not invertible
 modulo m.  Map files, and so the certificates read against them, are
-stricter: `serialize` rejects a min_poly of degree two or more whose
-`rational_roots` finds a root.
+stricter: `serialize` accepts a min_poly of degree two or more only when it
+is proven irreducible, either of degree 2 or 3 with no root found by
+`rational_roots`, or by `is_cyclotomic_or_eisenstein`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["Field", "Scalar", "QQ", "cyclotomic", "rational_roots"]
+__all__ = ["Field", "Scalar", "QQ", "cyclotomic", "rational_roots", "is_cyclotomic_or_eisenstein"]
 
 
 def as_fraction(value) -> Fraction:
@@ -111,12 +115,25 @@ class Field:
         if coeffs[-1] != 1:
             raise ValueError("min_poly must be monic")
         self.min_poly = coeffs
-        # t^deg = sum of -m_i t^i over the nonzero m_i
-        self.fold = tuple((i, -c) for i, c in enumerate(coeffs[:-1]) if c)
+        # t^deg = sum of -m_i t^i over the nonzero m_i, integral ones as int
+        self.fold = tuple((i, int(-c) if c.denominator == 1 else -c)
+                          for i, c in enumerate(coeffs[:-1]) if c)
 
     @property
     def degree(self) -> int:
         return len(self.min_poly) - 1
+
+    def reduce(self, prod):
+        """The first deg entries of a product of length 2*deg - 1, folded modulo m in place."""
+        deg = len(self.min_poly) - 1
+        fold = self.fold
+        for k in range(2 * deg - 2, deg - 1, -1):
+            top = prod[k]
+            if top:
+                base = k - deg
+                for i, c in fold:
+                    prod[base + i] += top * c
+        return prod[:deg]
 
     @property
     def is_rational(self) -> bool:
@@ -224,14 +241,7 @@ class Scalar:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        fold = self.field.fold
-        for k in range(2 * deg - 2, deg - 1, -1):
-            top = prod[k]
-            if top:
-                base = k - deg
-                for i, c in fold:
-                    prod[base + i] += top * c
-        return Scalar(self.field, tuple(prod[:deg]))
+        return Scalar(self.field, tuple(self.field.reduce(prod)))
 
     __rmul__ = __mul__
 
@@ -355,6 +365,62 @@ def rational_roots(coeffs):
                 if val == 0:
                     roots.add(cand)
     return sorted(roots)
+
+
+def is_cyclotomic_or_eisenstein(coeffs) -> bool:
+    """Whether the monic sum_i coeffs[i] t^i of degree >= 2 equals cyclotomic(k)
+    for some k, or is Eisenstein at a prime once its denominators are cleared.
+
+    Either proves it irreducible over Q; False proves nothing.  The Eisenstein
+    primes are those of the gcd of the lower coefficients, which is not
+    factored past _ROOT_SEARCH_LIMIT.
+    """
+    coeffs = [as_fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    deg = len(ints) - 1
+    if den == 1 and ints[0] == 1 and ints == ints[::-1]:
+        if any(cyclotomic(k) == ints for k in _totient_preimages(deg)):
+            return True
+    low = math.gcd(*ints[:-1])
+    return low <= _ROOT_SEARCH_LIMIT and any(
+        ints[-1] % p and ints[0] % (p * p) for p in _prime_factors(low))
+
+
+def _totient_preimages(n):
+    """Every k with Euler's phi(k) = n; each prime p of such a k has p - 1 | n."""
+    primes = [d + 1 for d in _divisors(n) if _prime_factors(d + 1) == [d + 1]]
+    found = []
+
+    def extend(rest, k, start):
+        if rest == 1:
+            found.append(k)
+        for index in range(start, len(primes)):
+            p = primes[index]
+            if rest % (p - 1) == 0:
+                rest_p, power = rest // (p - 1), p
+                while True:
+                    extend(rest_p, k * power, index + 1)
+                    if rest_p % p:
+                        break
+                    rest_p, power = rest_p // p, power * p
+
+    extend(n, 1, 0)
+    return found
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n, by trial division; [] for 0 and 1."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _divisors(n):

@@ -4,11 +4,22 @@ Terms live in a dict keyed by exponent tuples (length nvars); zero
 coefficients are never stored.  Monomials compare by plain tuple order,
 which is the lexicographic order with the first variable heaviest; that
 order drives leading-term division and deterministic serialization.
+
+A product runs on integers.  Each operand's coordinates are written over
+one common denominator D, the lcm of all their denominators, so every
+term pair costs integer products only: one over Q, and over Q[t]/(m) the
+schoolbook product of the nonzero coordinates, accumulated unreduced (length
+2 deg - 1) per result monomial.  Each result monomial is then folded modulo
+m once with `Field.reduce`, and each coordinate becomes one Fraction over
+D1 D2; monomials that come out zero are dropped.  Stored coefficients stay
+`Scalar`s with Fraction coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 
 from .exactfield import Field, Scalar
 
@@ -22,6 +33,16 @@ __all__ = [
     "extend_variables",
     "lift_to_field",
 ]
+
+_ZERO = Fraction(0)
+
+
+def _integer_terms(terms):
+    """(D, [(exps, [(i, n_i)])]): each coefficient's nonzero coordinates as
+    integer numerators n_i over D, the lcm of every coordinate denominator."""
+    den = math.lcm(*(c.denominator for s in terms.values() for c in s.coords))
+    return den, [(e, [(i, c.numerator * (den // c.denominator)) for i, c in enumerate(s.coords) if c])
+                 for e, s in terms.items()]
 
 
 def _coerce_coeff(field: Field, value) -> Scalar:
@@ -155,20 +176,37 @@ class MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        field = self.field
         if not self.terms or not rhs.terms:
-            return MultiPoly.zero(self.field, self.nvars)
+            return MultiPoly.zero(field, self.nvars)
+        den1, left = _integer_terms(self.terms)
+        den2, right = _integer_terms(rhs.terms)
+        den = den1 * den2
+        acc = {}
+        if field.degree == 1:
+            for e1, [(_, a)] in left:
+                for e2, [(_, b)] in right:
+                    exps = tuple(map(add, e1, e2))
+                    acc[exps] = acc.get(exps, 0) + a * b
+            return MultiPoly(field, self.nvars, {e: Scalar(field, (Fraction(c, den),))
+                                                 for e, c in acc.items() if c})
+        width = 2 * field.degree - 1
+        for e1, a in left:
+            for e2, b in right:
+                exps = tuple(map(add, e1, e2))
+                prod = acc.get(exps)
+                if prod is None:
+                    prod = acc[exps] = [0] * width
+                for i, x in a:
+                    for j, y in b:
+                        prod[i + j] += x * y
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in rhs.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                c = terms.get(exps)
-                c = prod if c is None else c + prod
-                if c.is_zero():
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = c
-        return MultiPoly(self.field, self.nvars, terms)
+        for exps, prod in acc.items():
+            coords = field.reduce(prod)
+            if any(coords):
+                terms[exps] = Scalar(field, tuple(Fraction(c, den) if c else _ZERO
+                                                  for c in coords))
+        return MultiPoly(field, self.nvars, terms)
 
     __rmul__ = __mul__
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .exactfield import Field, Scalar, rational_roots
+from .exactfield import Field, Scalar, is_cyclotomic_or_eisenstein, rational_roots
 from .multipoly import LinearForm, MultiPoly
 from .polymap import PolyMap, PolyMatrix
 from .properties import PropertyReport, StarCertificate
@@ -30,13 +30,17 @@ def field_to_json(field: Field) -> dict:
 
 
 def field_from_json(data: dict) -> Field:
-    """Q[t]/(min_poly); ValueError when a min_poly of degree >= 2 has a rational
-    root.  Coefficients past the bounded root search are accepted unchecked."""
+    """Q[t]/(min_poly); ValueError unless a min_poly of degree >= 2 is proven
+    irreducible: of degree 2 or 3 with no rational root, cyclotomic, or
+    Eisenstein.  A root search past its bound proves nothing."""
     field = Field(data["min_poly"])
     if field.degree >= 2:
         roots = rational_roots(field.min_poly)
         if roots:
             raise ValueError(f"min_poly has the rational root {roots[0]}, so it does not define a field")
+        if (roots is None or field.degree > 3) and not is_cyclotomic_or_eisenstein(field.min_poly):
+            raise ValueError("min_poly is not proven irreducible (degree 2 or 3 without a rational "
+                             "root, cyclotomic, or Eisenstein), so it may not define a field")
     return field
 
 

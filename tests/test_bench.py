@@ -1,0 +1,25 @@
+"""The layer microbenchmark script runs: every kernel is called once."""
+
+import importlib.util
+import os
+
+_SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "bench", "microbench.py")
+
+
+def _load_microbench():
+    spec = importlib.util.spec_from_file_location("microbench", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_microbench_kernel_runs_once():
+    kernels = _load_microbench().kernels()
+    names = [name for name, _, _ in kernels]
+    assert len(names) == len(set(names))
+    assert {"multipoly_mul_zeta5", "multipoly_substitute_q", "divide_exact_q",
+            "matrix_det_q"} <= set(names)
+    for name, call, number in kernels:
+        assert number >= 1, name
+        call()

@@ -250,6 +250,40 @@ def test_analyze_reducible_min_poly_is_input_error(tmp_path, capsys, checks):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("checks", ["all", "keller", "quasi", "jc-plus", "strong-nilpotent",
+                                    "doublestar"])
+def test_analyze_reducible_quartic_without_rational_root_is_input_error(tmp_path, capsys, checks):
+    # H = ((1+t^2)x2, (t^2+2)x3, x1^2, 0, (1+t^2)x4) over Q[t]/((t^2+1)(t^2+2))
+    def comp(*terms):
+        return {"nvars": 5, "terms": [{"exps": e, "coeff": c} for e, c in terms]}
+    map_path = tmp_path / "quartic.json"
+    map_path.write_text(json.dumps({
+        "field": {"min_poly": ["2", "0", "3", "0", "1"]},
+        "nvars": 5,
+        "components": [comp(([0, 1, 0, 0, 0], ["1", "0", "1"])),
+                       comp(([0, 0, 1, 0, 0], ["2", "0", "1"])),
+                       comp(([2, 0, 0, 0, 0], ["1"])), comp(),
+                       comp(([0, 0, 0, 1, 0], ["1", "0", "1"]))],
+    }))
+    assert main(["analyze", str(map_path), "--checks", checks]) == 2
+    assert capsys.readouterr().err.startswith("error: min_poly is not proven irreducible")
+
+
+def test_gen_to_unwritable_path_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["gen", "--family", "n4", "--degree", "3", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_analyze_report_to_unwritable_path_is_input_error(tmp_path, capsys):
+    _, map_path = _gen(tmp_path, "--family", "n4", "--degree", "3")
+    report = tmp_path / "missing" / "r.json"
+    assert main(["analyze", str(map_path), "--checks", "keller", "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
+
+
 def test_certify_reducible_min_poly_is_input_error(tmp_path, capsys):
     # one term (x1)^2 (0, 1+t): sum and orthogonality hold, and the rank
     # test of the (***) level has to divide by 1 + t

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kellerlab.exactfield import QQ, Field, cyclotomic
 from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact,
@@ -243,3 +244,107 @@ def test_extend_and_lift():
     lifted = lift_to_field(p, field)
     assert lifted.field == field
     assert lifted.evaluate([field.generator(), field.generator()]) == field.scalar(0)
+
+
+# -- the integer product kernel against the term-by-term loop ---------------
+
+def _ref_scalar_mul(a, b):
+    """Coordinates of a * b: schoolbook product, then long division by monic m."""
+    m, deg = a.field.min_poly, a.field.degree
+    prod = [Fraction(0)] * (2 * deg - 1)
+    for i, x in enumerate(a.coords):
+        for j, y in enumerate(b.coords):
+            prod[i + j] += x * y
+    for k in range(2 * deg - 2, deg - 1, -1):
+        top = prod[k]
+        for i, c in enumerate(m):
+            prod[k - deg + i] -= top * c
+    return tuple(prod[:deg])
+
+
+def _ref_poly_mul(p, q):
+    """The term-by-term product loop MultiPoly.__mul__ used to run, on coordinates."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            prod = _ref_scalar_mul(c1, c2)
+            c = terms.get(exps)
+            c = prod if c is None else tuple(x + y for x, y in zip(c, prod))
+            if any(c):
+                terms[exps] = c
+            else:
+                terms.pop(exps, None)
+    return terms
+
+
+def _check_product(p, q):
+    got = p * q
+    assert {e: s.coords for e, s in got.terms.items()} == _ref_poly_mul(p, q)
+    assert all(type(c) is Fraction for s in got.terms.values() for c in s.coords)
+    assert all(not s.is_zero() for s in got.terms.values())
+
+
+# fields, a non-integral fold (t^2 + 9/2), and the rings Q[t]/(t^2), Q[t]/(t^2 - 1)
+_PRODUCT_RINGS = (QQ, Field(cyclotomic(3)), Field(cyclotomic(5)), Field([-2, 0, 0, 1]),
+                  Field([Fraction(9, 2), 0, 1]), Field([0, 0, 1]), Field([-1, 0, 1]))
+
+
+def _random_element(rng, field):
+    # a third of the coordinates are zero, the rest mostly non-integral
+    return field.element([Fraction(0) if rng.random() < 1 / 3
+                          else Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                          for _ in range(field.degree)])
+
+
+def _random_element_poly(rng, field, nvars):
+    shape = rng.random()
+    if shape < 0.1:
+        return MultiPoly.zero(field, nvars)
+    if shape < 0.25:
+        return MultiPoly.constant(field, nvars, _random_element(rng, field))
+    items = [(tuple(rng.randint(0, 3) for _ in range(nvars)), _random_element(rng, field))
+             for _ in range(rng.randint(1, 7))]
+    return MultiPoly.from_terms(field, nvars, items)
+
+
+def test_product_kernel_matches_term_loop_fuzz():
+    rng = random.Random(7707)
+    for trial in range(420):
+        field = _PRODUCT_RINGS[trial % len(_PRODUCT_RINGS)]
+        nvars = rng.randint(1, 3)
+        a, b = (_random_element_poly(rng, field, nvars) for _ in range(2))
+        if trial % 3 == 0:
+            a, b = a + b, a - b  # (a + b)(a - b): the cross terms cancel
+        _check_product(a, b)
+
+
+def test_product_kernel_cancellations():
+    x, y = variables(QQ, 2)
+    assert ((x - y) * (x + y)).terms == (x ** 2 - y ** 2).terms
+    # (1 + t)(1 - t) = 0 modulo t^2 - 1: every result monomial folds to zero
+    ring = Field([-1, 0, 1])
+    u, v = ring.element([1, 1]), ring.element([1, -1])
+    x, y = variables(ring, 2)
+    assert (x * u + y * u) * (x * v - y * v) == MultiPoly.zero(ring, 2)
+    # (t/2 x + 1)(t/2 x - 1) = -9/8 x^2 - 1 modulo t^2 + 9/2
+    field = Field([Fraction(9, 2), 0, 1])
+    half_t = field.element([0, Fraction(1, 2)])
+    a = MultiPoly.from_terms(field, 1, [((1,), half_t), ((0,), 1)])
+    b = MultiPoly.from_terms(field, 1, [((1,), half_t), ((0,), -1)])
+    assert (a * b).terms == {(2,): field.scalar(Fraction(-9, 8)), (0,): field.scalar(-1)}
+    _check_product(a, b)
+
+
+_EXPONENTS = st.tuples(*[st.integers(0, 3)] * 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PRODUCT_RINGS), st.data())
+def test_product_kernel_matches_term_loop_property(field, data):
+    coords = st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12),
+                      min_size=field.degree, max_size=field.degree)
+    terms = st.lists(st.tuples(_EXPONENTS, coords), max_size=6)
+    a, b = (MultiPoly.from_terms(field, 2, [(e, field.element(c)) for e, c in data.draw(terms)])
+            for _ in range(2))
+    _check_product(a, b)

@@ -35,6 +35,20 @@ def test_field_from_json_accepts_min_poly_without_rational_root(min_poly):
     assert field.min_poly == tuple(Fraction(c) for c in min_poly)
 
 
+@pytest.mark.parametrize("min_poly", [["-2", "0", "0", "0", "1"], cyclotomic(5), cyclotomic(8)],
+                         ids=["t^4-2 Eisenstein", "Phi_5", "Phi_8"])
+def test_field_from_json_accepts_proven_irreducible_min_poly(min_poly):
+    field = serialize.field_from_json({"min_poly": [str(c) for c in min_poly]})
+    assert field.min_poly == tuple(Fraction(c) for c in min_poly)
+
+
+@pytest.mark.parametrize("min_poly", [["2", "0", "3", "0", "1"], ["1000000000000", "0", "1"]],
+                         ids=["(t^2+1)(t^2+2)", "quadratic past the root search"])
+def test_field_from_json_rejects_min_poly_not_proven_irreducible(min_poly):
+    with pytest.raises(ValueError, match="not proven irreducible"):
+        serialize.field_from_json({"min_poly": min_poly})
+
+
 def test_scalar_round_trip():
     field = Field(cyclotomic(5))
     value = field.element([1, Fraction(-2, 3), 0, 4])
