@@ -17,8 +17,8 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
 - `multipoly_substitute_q`: a dense cubic in 4 variables under a linear change
   of variables with two +-1 entries per row, the way `change_basis` does it;
 - `divide_exact_q`: a seeded 12-term by 12-term product divided by one factor;
-- `matrix_det_q`: a 5 x 5 Bareiss determinant whose entries are random linear
-  polynomials in 3 variables.
+- `matrix_det_q`: a 5 x 5 determinant by cofactor expansion whose entries are
+  random linear polynomials in 3 variables.
 
 Prints one JSON object with the machine, the Python version, the repeat
 count and, per kernel, the calls per repeat and the best time per call.

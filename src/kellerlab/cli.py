@@ -30,8 +30,8 @@ from .properties import CHAIN_CONDITIONS, FAILS, HOLDS, certificate_failure, cha
 CHECK_NAMES = {c.replace("_", "-"): c for c in CHAIN_CONDITIONS}
 
 # what reading a map or certificate file raises on bad input; a rational
-# "p/0" raises ZeroDivisionError
-_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ZeroDivisionError)
+# "p/0" raises ZeroDivisionError, and JSON nested too deeply RecursionError
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,9 @@ then only a ring), and division raises when the divisor is not invertible
 modulo m.  Map files, and so the certificates read against them, are
 stricter: `serialize` accepts a min_poly of degree two or more only when it
 is proven irreducible, either of degree 2 or 3 with no root found by
-`rational_roots`, or by `is_cyclotomic_or_eisenstein`.
+`rational_roots`, or by `is_cyclotomic_or_eisenstein`, and refuses any
+min_poly of degree above 64, past which building the cyclotomic
+candidates alone takes seconds, and over a minute at degree 1024.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Polynomial maps and polynomial matrices.
 
 Covers the symbolic machinery the condition checkers sit on: Jacobians,
-composition, changes of basis and conjugation, Hadamard-power maps, exact
-determinant and rank over the function field, nilpotency, homogenization
-and the forward-substitution inverse for strictly triangular maps.
+composition, changes of basis and conjugation, Hadamard-power maps, the
+exact determinant (by cofactor expansion) and rank over the function field,
+nilpotency, homogenization and the forward-substitution inverse for
+strictly triangular maps.
 """
 
 from __future__ import annotations
@@ -368,40 +369,11 @@ def _pick_pivot(grid, col, start):
     return best
 
 
-def _det_bareiss(grid, field, nvars):
-    n = len(grid)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        pivot_row = _pick_pivot(grid, k, k)
-        if pivot_row is None:
-            return MultiPoly.zero(field, nvars)
-        if pivot_row != k:
-            grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
-            sign = -sign
-        pivot = grid[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * grid[i][j] - grid[i][k] * grid[k][j]
-                if prev is not None:
-                    num = divide_exact(num, prev)
-                    if num is None:
-                        raise ArithmeticError("fraction-free elimination lost exact divisibility")
-                grid[i][j] = num
-            grid[i][k] = MultiPoly.zero(field, nvars)
-        prev = pivot
-    det = grid[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def matrix_det(matrix: PolyMatrix) -> MultiPoly:
-    """Exact determinant; cofactor expansion up to 4x4, Bareiss above."""
+    """Exact determinant by cofactor expansion along the line with the most zeros."""
     if not matrix.is_square:
         raise ValueError("determinant of a non-square matrix")
-    grid = _grid(matrix)
-    if matrix.rows <= 4:
-        return _det_cofactor(grid, matrix.field, matrix.nvars)
-    return _det_bareiss(grid, matrix.field, matrix.nvars)
+    return _det_cofactor(_grid(matrix), matrix.field, matrix.nvars)
 
 
 def matrix_rank(matrix: PolyMatrix) -> int:

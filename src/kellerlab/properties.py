@@ -92,9 +92,6 @@ class PropertyReport:
     def verdict(self, name: str) -> str:
         return self.conditions[name]
 
-    def holds(self, name: str) -> bool:
-        return self.conditions[name] == HOLDS
-
     def witness(self, name: str):
         return self.witnesses.get(name)
 

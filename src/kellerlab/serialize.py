@@ -2,7 +2,9 @@
 
 All numbers travel as rational strings ("p/q" or plain integers), terms are
 sorted lexicographically by exponent vector, and `dumps` emits sorted keys,
-so identical objects always serialize to identical bytes.
+so identical objects always serialize to identical bytes.  A map file's
+min_poly has degree at most 64 and, from degree 2 on, must be proven
+irreducible (`field_from_json`); the library's `Field` has neither bound.
 """
 
 from __future__ import annotations
@@ -29,11 +31,21 @@ def field_to_json(field: Field) -> dict:
     return {"min_poly": [str(c) for c in field.min_poly]}
 
 
+# the cyclotomic test builds cyclotomic(k) for every k with phi(k) = degree;
+# on a 2-core Xeon with Python 3.11 that takes 0.2 s at degree 64, 1.2 s at
+# 128, 5.7 s at 256 and over a minute at 1024
+_MAX_MIN_POLY_DEGREE = 64
+
+
 def field_from_json(data: dict) -> Field:
     """Q[t]/(min_poly); ValueError unless a min_poly of degree >= 2 is proven
     irreducible: of degree 2 or 3 with no rational root, cyclotomic, or
-    Eisenstein.  A root search past its bound proves nothing."""
+    Eisenstein.  A root search past its bound proves nothing, and a degree
+    above _MAX_MIN_POLY_DEGREE is refused before any proof is tried."""
     field = Field(data["min_poly"])
+    if field.degree > _MAX_MIN_POLY_DEGREE:
+        raise ValueError(f"min_poly has degree {field.degree}, above the map-file bound "
+                         f"{_MAX_MIN_POLY_DEGREE}")
     if field.degree >= 2:
         roots = rational_roots(field.min_poly)
         if roots:

@@ -362,3 +362,29 @@ def test_bad_rationals_are_input_errors(tmp_path, capsys, min_poly, coeff):
         assert capsys.readouterr().err.startswith("error: ")
     assert main(["certify", str(map_path), str(_square_cert(tmp_path, 2))]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("nested", ["analyze map", "certify map", "certify cert"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, nested):
+    # 100 000 open brackets exhaust the JSON decoder's recursion
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    map_path, cert_path = _square_map(tmp_path), _square_cert(tmp_path, 2)
+    argv = {"analyze map": ["analyze", str(deep), "--checks", "keller"],
+            "certify map": ["certify", str(deep), str(cert_path)],
+            "certify cert": ["certify", str(map_path), str(deep)]}[nested]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_map_file_min_poly_above_degree_64_is_input_error(tmp_path, capsys):
+    # t^128 + 1 is cyclotomic, but proving it so is not attempted past degree 64
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({
+        "field": {"min_poly": ["1"] + ["0"] * 127 + ["1"]},
+        "nvars": 2,
+        "components": [{"nvars": 2, "terms": []}, {"nvars": 2, "terms": []}],
+    }))
+    assert main(["analyze", str(map_path), "--checks", "keller"]) == 2
+    assert capsys.readouterr().err.startswith("error: min_poly has degree 128")

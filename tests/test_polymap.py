@@ -1,5 +1,6 @@
 """Polynomial maps and matrices: Jacobians, determinants, ranks, inversion."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate,
                                invert_triangular, jacobian, map_compose,
                                matrix_det, matrix_is_nilpotent, matrix_rank,
                                nonlinear_part, plus_identity)
-from kellerlab.polymap import _det_bareiss, _det_cofactor, _grid
 from kellerlab.constructions import FamilySpec, make_family
 
 
@@ -186,16 +186,25 @@ def test_det_multiplicative_randomized():
     assert matrix_det(PolyMatrix.identity(QQ, 1, 4)) == MultiPoly.constant(QQ, 1, 1)
 
 
-def test_bareiss_matches_cofactor_randomized():
-    # the two determinant routes must agree wherever both apply
+def _det_leibniz(m):
+    """Sum over permutations of sign * product, with the sign by inversion count."""
+    total = MultiPoly.zero(m.field, m.nvars)
+    for perm in itertools.permutations(range(m.rows)):
+        term = MultiPoly.constant(m.field, m.nvars, 1)
+        for i, j in enumerate(perm):
+            term = term * m.entries[i][j]
+        inversions = sum(1 for a in range(m.rows) for b in range(a) if perm[b] > perm[a])
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_det_matches_leibniz_randomized():
+    # sizes 5 and 6 have no other sympy-free check of the cofactor expansion
     rng = random.Random(424243)
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        entries = [[_rand_poly(rng, 2) for _ in range(n)] for _ in range(n)]
-        m = PolyMatrix(entries)
-        by_cofactor = _det_cofactor(_grid(m), m.field, m.nvars)
-        by_bareiss = _det_bareiss(_grid(m), m.field, m.nvars)
-        assert by_cofactor == by_bareiss
+    for n, count in ((2, 8), (3, 8), (4, 6), (5, 4), (6, 2)):
+        for _ in range(count):
+            m = PolyMatrix([[_rand_poly(rng, 2) for _ in range(n)] for _ in range(n)])
+            assert matrix_det(m) == _det_leibniz(m)
 
 
 def test_rank_examples():

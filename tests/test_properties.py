@@ -638,6 +638,21 @@ def test_jc_plus_and_jc_minus_hold_on_hidden_full_size_f666():
         assert list(f.evaluate(inverse.evaluate(point))) == point
 
 
+def test_jc_plus_on_densely_hidden_n5_is_fast():
+    # a dense T makes the summed Jacobian a dense 5x5 matrix in 10 variables,
+    # where fraction-free elimination took about 30 s
+    import time
+
+    grid = [[-1, 0, -1, 0, 0], [0, 0, 0, 1, -1], [0, 1, 1, 0, 0],
+            [-1, 0, 0, 0, -1], [-1, -1, 0, 0, 0]]
+    hidden = conjugate(make_family(FamilySpec("n5", 2)), PolyMatrix.from_scalars(QQ, 5, grid))
+    start = time.perf_counter()
+    rep = chain_report(plus_identity(hidden), checks=["jc_plus"])
+    assert time.perf_counter() - start < 15.0
+    assert rep.verdict("jc_plus") == HOLDS
+    assert rep.notes["jc_plus"] == "determinant is the constant 3125"
+
+
 def test_jc_failure_with_large_coefficients_is_fast():
     # diag(10^8, 1, 1, 1) blows up the coefficients of the restricted
     # determinants past the rational-root search bound; the symbolic

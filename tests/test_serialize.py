@@ -49,6 +49,15 @@ def test_field_from_json_rejects_min_poly_not_proven_irreducible(min_poly):
         serialize.field_from_json({"min_poly": min_poly})
 
 
+def test_field_from_json_bounds_the_min_poly_degree():
+    # t^64 + 1 = Phi_128 is proven cyclotomic; t^128 + 1 = Phi_256 is refused
+    # before the proof, which builds cyclotomic(k) for each phi(k) = degree
+    field = serialize.field_from_json({"min_poly": ["1"] + ["0"] * 63 + ["1"]})
+    assert field.degree == 64
+    with pytest.raises(ValueError, match="degree 128, above the map-file bound 64"):
+        serialize.field_from_json({"min_poly": ["1"] + ["0"] * 127 + ["1"]})
+
+
 def test_scalar_round_trip():
     field = Field(cyclotomic(5))
     value = field.element([1, Fraction(-2, 3), 0, 4])
