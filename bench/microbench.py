@@ -18,7 +18,14 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
   of variables with two +-1 entries per row, the way `change_basis` does it;
 - `divide_exact_q`: a seeded 12-term by 12-term product divided by one factor;
 - `matrix_det_q`: a 5 x 5 determinant by cofactor expansion whose entries are
-  random linear polynomials in 3 variables.
+  random linear polynomials in 3 variables;
+- `strong_nilpotence_flag_q`: the strong-nilpotence flag of JH for the n5
+  family at d = 2 behind a dense +-1 change of basis (the `conjugated`
+  workload's T at seed 1), which it rejects with a word witness;
+- `strong_nilpotence_flag_zeta3`: the same for f667 at d = 3, n = 4 over
+  Q(zeta_3), which it triangularizes;
+- `quasi_test_q`: `is_quasi_translation` on the n4 family at d = 3 behind a
+  +-1 change of basis; the map is a quasi-translation.
 
 Prints one JSON object with the machine, the Python version, the repeat
 count and, per kernel, the calls per repeat and the best time per call.
@@ -37,9 +44,12 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from kellerlab import properties  # noqa: E402
+from kellerlab.constructions import FamilySpec, make_family  # noqa: E402
 from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
 from kellerlab.multipoly import MultiPoly, divide_exact, variables  # noqa: E402
-from kellerlab.polymap import PolyMatrix, linear_combinations, matrix_det  # noqa: E402
+from kellerlab.polymap import (PolyMatrix, conjugate, jacobian, linear_combinations,  # noqa: E402
+                               matrix_det, plus_identity)
 
 REPEAT = 7
 SEED = 6
@@ -98,6 +108,20 @@ def _linear_matrix(rng, size, nvars):
                         for _ in range(size)] for _ in range(size)])
 
 
+# +-1 changes of basis drawn by `perfbench/workloads.conjugating_matrix` at seed 1
+_HIDING = {
+    ("n5", 2, None): [[-1, 0, -1, 0, 0], [0, 0, 0, 1, -1], [0, 1, 1, 0, 0],
+                      [-1, 0, 0, 0, -1], [-1, -1, 0, 0, 0]],
+    ("f667", 3, 4): [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1], [1, 0, 0, -1]],
+    ("n4", 3, None): [[0, 1, -1, 0], [1, 0, 1, 0], [0, 0, -1, 1], [0, -1, -1, 0]],
+}
+
+
+def _hidden_family(kind, d, n=None):
+    h = make_family(FamilySpec(kind, d, n=n))
+    return conjugate(h, PolyMatrix.from_scalars(h.field, h.nvars, _HIDING[kind, d, n]))
+
+
 def kernels():
     """(name, zero-argument callable, calls per repeat) for every kernel."""
     fa, fb = Fraction(-7, 12), Fraction(5, 18)
@@ -112,6 +136,9 @@ def kernels():
     qa_poly, qb_poly = _random_poly(rng, 4, 12), _random_poly(rng, 4, 12)
     product = qa_poly * qb_poly
     matrix = _linear_matrix(rng, 5, 3)
+    n5_jh = jacobian(_hidden_family("n5", 2))
+    f667_jh = jacobian(_hidden_family("f667", 3, 4))
+    n4_f = plus_identity(_hidden_family("n4", 3))
     return [
         ("fraction_mul", lambda: fa * fb, 20000),
         ("scalar_mul_q", lambda: qa * qb, 20000),
@@ -122,6 +149,10 @@ def kernels():
         ("multipoly_substitute_q", lambda: cubic.substitute(linear), 20),
         ("divide_exact_q", lambda: divide_exact(product, qb_poly), 20),
         ("matrix_det_q", lambda: matrix_det(matrix), 2),
+        ("strong_nilpotence_flag_q", lambda: properties._strong_nilpotence_flag(n5_jh), 10),
+        ("strong_nilpotence_flag_zeta3",
+         lambda: properties._strong_nilpotence_flag(f667_jh), 10),
+        ("quasi_test_q", lambda: properties.is_quasi_translation(n4_f), 10),
     ]
 
 

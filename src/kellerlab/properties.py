@@ -16,28 +16,37 @@ triangularizability (van den Essen and Hubbers, JPAA 110, 1996).  Writing
 JH = sum_m x^m A_m with constant matrices A_m, the flag W_0 = K^n,
 W_{k+1} = sum_m A_m W_k reaches 0 exactly when H is strongly nilpotent; a
 basis adapted to it is a T with T^{-1} H(Tx) strictly triangular, and
-otherwise a nonzero word of n matrices A_m is the witness.  When the flag
-holds, the rest of the chain follows from it: keller, nilpotent, JC and
-JC+ hold, and JC- holds by inverting T^{-1} F(Tx).  Maps that fail it go
-through symbolic determinants and nilpotency.  (**) and (***) are verified
-via explicit certificates; their failure is asserted only by two sound
-desk-scale oracles (single-term matching in dimension 2, and the
+otherwise a nonzero word of n matrices A_m is the witness.  The flag runs
+on integer numerators over one denominator per vector, and a level stops
+once it is as large as the level before, since W_{k+1} lies in W_k.  When
+the flag holds, the rest of the chain follows from it: keller, nilpotent,
+JC and JC+ hold, and JC- holds by inverting T^{-1} F(Tx).  Maps that fail
+it go through symbolic determinants and nilpotency.  (**) and (***) are
+verified via explicit certificates; their failure is asserted only by two
+sound desk-scale oracles (single-term matching in dimension 2, and the
 one-dimensional component-span argument).  (JC-) is never decided in the
 negative: the verdict is holds only when an inverse is exhibited.
+
+x + H is a quasi-translation, H(x - H) = H, exactly when JH H = 0 (de
+Bondt, Proc. AMS 134, 2006).  If JH H = 0, H is constant along the flow of
+the vector field H, so that flow is x + tH and H(x + tH) = H, in any
+Q-algebra; put t = -1.  By the converse, when JH H != 0 some component of
+H(x - H) - H is nonzero, and the first one is the failure witness.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
 from .exactfield import Field, Scalar, rational_roots
-from .multipoly import (LinearForm, MultiPoly, is_pure_power, lift_to_field,
-                        rename_variables)
+from .multipoly import (LinearForm, MultiPoly, _integer_terms, is_pure_power,
+                        lift_to_field, rename_variables)
 from .polymap import (PolyMap, PolyMatrix, change_basis, conjugation_grids, jacobian,
-                      linear_combinations, map_compose, matrix_det, invert_triangular,
+                      linear_combinations, matrix_det, invert_triangular,
                       nonlinear_part)
 
 __all__ = [
@@ -114,14 +123,26 @@ class PropertyReport:
 
 # -- basic map-level checks -------------------------------------------------
 
-def _quasi_residual(h: PolyMap) -> PolyMap:
-    """H(x - H) - H, which is zero exactly when x + H is a quasi-translation."""
-    return map_compose(h, PolyMap.identity(h.field, h.nvars) - h) - h
+def _quasi(jh: PolyMatrix, h: PolyMap) -> bool:
+    """JH H = 0, which holds exactly when x + H is a quasi-translation."""
+    zero = MultiPoly.zero(h.field, h.nvars)
+    return all(sum((e * c for e, c in zip(row, h.components) if not e.is_zero()), zero).is_zero()
+               for row in jh.entries)
+
+
+def _quasi_witness(h: PolyMap) -> dict:
+    """The first nonzero component of H(x - H) - H, for an H with JH H != 0."""
+    inner = (PolyMap.identity(h.field, h.nvars) - h).components
+    for index, comp in enumerate(h.components):
+        value = comp.substitute(inner, nvars=h.nvars) - comp
+        if not value.is_zero():
+            return {"kind": "component", "index": index, "value": value}
+    raise ArithmeticError("JH H is nonzero, yet H(x - H) = H")
 
 
 def is_quasi_translation(map_: PolyMap) -> bool:
     """F = x + H with H(x - H) = H, equivalently (x+H) o (x-H) = x."""
-    return _quasi_residual(nonlinear_part(map_)).is_zero()
+    return _MapAnalysis(map_).quasi
 
 
 # -- sums and products of substituted Jacobians ------------------------------
@@ -301,22 +322,68 @@ def _strong_report(word) -> PropertyReport:
 
 
 def _coefficient_matrices(jac: PolyMatrix) -> dict:
-    """JH = sum_m x^m A_m, each A_m as its nonzero entries (i, j, value), by m."""
+    """JH = sum_m x^m A_m: by m, the `_integer_terms` (D, [((i, j), [(k, n_k)])])
+    of the nonzero entries of A_m, coordinate k of entry (i, j) being n_k / D."""
     mats = {}
     for i, row in enumerate(jac.entries):
         for j, entry in enumerate(row):
             for m, value in entry.terms.items():
-                mats.setdefault(m, []).append((i, j, value))
-    return dict(sorted(mats.items()))
+                mats.setdefault(m, {})[i, j] = value
+    return {m: _integer_terms(entries) for m, entries in sorted(mats.items())}
 
 
-def _apply(entries, vector, zero):
-    """A v for a sparse constant matrix A, skipping the zero coordinates of v."""
-    out = [zero] * len(vector)
-    for i, j, value in entries:
-        if not vector[j].is_zero():
-            out[i] = out[i] + value * vector[j]
-    return out
+def _primitive(coords, den=0):
+    """(den', coords') with integer coords' / den' = coords / den, divided by their
+    gcd (den = 0 keeps the direction only); a non-integral fold leaves Fractions."""
+    if not all(type(c) is int for e in coords for c in e):
+        scale = math.lcm(*(c.denominator for e in coords for c in e))
+        coords, den = [[int(c * scale) for c in e] for e in coords], den * scale
+    g = math.gcd(den, *(c for e in coords for c in e))
+    if g > 1:
+        coords, den = [[c // g for c in e] for e in coords], den // g
+    return den, coords
+
+
+def _times(field: Field, a, b):
+    """The product of two field elements on integer coordinates."""
+    prod = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return field.reduce(prod)
+
+
+def _image(field: Field, mat, vec):
+    """A v as (den, integer coordinates), for A from `_coefficient_matrices`."""
+    (den_a, entries), (den_v, coords) = mat, vec
+    out = [[0] * (2 * field.degree - 1) for _ in coords]
+    for (i, j), a in entries:
+        for k, x in a:
+            for l, y in enumerate(coords[j]):
+                out[i][k + l] += x * y
+    return _primitive([field.reduce(p) for p in out], den_a * den_v)
+
+
+def _extends(field: Field, basis: list, coords) -> bool:
+    """Add the vector to the fraction-free echelon `basis` [(pivot, row)] when
+    independent of it: a primitive copy v is reduced by row[p] v - v[p] row."""
+    v = _primitive(coords)[1]
+    for p, row in basis:
+        c = v[p]
+        if any(c):
+            v = _primitive([[x - y for x, y in zip(_times(field, row[p], a), _times(field, c, b))]
+                            for a, b in zip(v, row)])[1]
+    p = next((k for k, e in enumerate(v) if any(e)), None)
+    if p is not None:
+        basis.append((p, v))
+    return p is not None
+
+
+def _scalars(field: Field, vec):
+    """The vector (den, integer coordinates) as a list of Scalars."""
+    den, coords = vec
+    return [Scalar(field, tuple(Fraction(c, den) for c in e)) for e in coords]
 
 
 def _pivots(vectors) -> list:
@@ -334,6 +401,10 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
     last, so every T^{-1} A_m T is strictly lower triangular.  Each basis
     vector of W_k is kept as the image of a unit vector under a word of k
     matrices, so a nonzero W_n yields a witness word of exactly n letters.
+
+    Vectors are integer numerators over one denominator.  A level keeps, in
+    image order, each image independent of those kept (`_extends`), and
+    stops once it is as large as the level before: W_{k+1} lies in W_k.
     """
     field, n = jac.field, jac.nvars
     if jac.is_lower_triangular(strict=True):
@@ -341,16 +412,24 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
     zero = field.zero()
     mats = _coefficient_matrices(jac)
     units = linalg.identity_grid(field, n)
-    levels = [[((), j, units[j]) for j in range(n)]]
+    levels = [[((), j, (1, [[int(i == j)] + [0] * (field.degree - 1) for i in range(n)]))
+               for j in range(n)]]
     for _ in range(n):
-        images = [((m,) + word, j, _apply(entries, v, zero))
-                  for word, j, v in levels[-1] for m, entries in mats.items()]
-        level = [images[p] for p in _pivots([v for _, _, v in images])]
+        images = (((m,) + word, j, _image(field, mat, v))
+                  for word, j, v in levels[-1] for m, mat in mats.items())
+        level, basis = [], []
+        for word, j, image in images:
+            if _extends(field, basis, image[1]):
+                level.append((word, j, image))
+                if len(level) == len(levels[-1]):
+                    break
         if not level:
-            deepest_first = [v for step in reversed(levels[1:]) for _, _, v in step]
+            deepest_first = [_scalars(field, v) for step in reversed(levels[1:])
+                             for _, _, v in step]
             return _adapted_basis(deepest_first, field, n), None
         levels.append(level)
     word, j, image = levels[-1][0]
+    image = _scalars(field, image)
     # re-check against the Jacobian entries themselves
     check = units[j]
     for m in reversed(word):
@@ -692,8 +771,8 @@ class _MapAnalysis:
         return PolyMatrix.identity(self.map.field, n, n) + self.jh
 
     @cached_property
-    def quasi_residual(self) -> PolyMap:
-        return _quasi_residual(self.h)
+    def quasi(self) -> bool:
+        return _quasi(self.jh, self.h)
 
     @cached_property
     def flag(self):
@@ -709,7 +788,7 @@ def _exhibit_inverse(shared: _MapAnalysis):
     """Try to exhibit an inverse: quasi-translation, direct triangular
     inversion, or inversion of T^{-1} F(Tx) for the flag's T."""
     map_ = shared.map
-    if shared.quasi_residual.is_zero():
+    if shared.quasi:
         inverse = PolyMap.identity(map_.field, map_.nvars) - shared.h
         return inverse, "quasi-translation: x - H inverts x + H"
     if shared.jh.is_lower_triangular(strict=True):
@@ -728,7 +807,7 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
     """Run the condition chain on F = x + H and aggregate the verdicts.
 
     `checks` restricts the work to a subset of CHAIN_CONDITIONS.  H, JH,
-    JF = I + JH, the quasi residual H(x - H) - H and the strong-nilpotence
+    JF = I + JH, the quasi-translation test JH H = 0 and the strong-nilpotence
     flag are each computed at most once per call, and only for the checks
     that read them.  When the flag holds, keller, nilpotent, jc, jc_plus,
     strong_nilpotent and star read their verdict from it, and jc_minus
@@ -763,14 +842,10 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
             report.record("nilpotent", FAILS, witness=_entry_witness(power),
                           note="JH^n has a nonzero entry")
     if "quasi" in wanted:
-        residual = shared.quasi_residual
-        if residual.is_zero():
+        if shared.quasi:
             report.record("quasi", HOLDS)
         else:
-            index = next(i for i, c in enumerate(residual.components) if not c.is_zero())
-            report.record("quasi", FAILS,
-                          witness={"kind": "component", "index": index,
-                                   "value": residual.components[index]},
+            report.record("quasi", FAILS, witness=_quasi_witness(h),
                           note="H(x - H) - H is nonzero")
     for label, count in (("jc", max(map_.degree() - 1, 1)), ("jc_plus", n)):
         if label not in wanted:

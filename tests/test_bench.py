@@ -19,7 +19,8 @@ def test_every_microbench_kernel_runs_once():
     names = [name for name, _, _ in kernels]
     assert len(names) == len(set(names))
     assert {"multipoly_mul_zeta5", "multipoly_substitute_q", "divide_exact_q",
-            "matrix_det_q"} <= set(names)
+            "matrix_det_q", "strong_nilpotence_flag_q", "strong_nilpotence_flag_zeta3",
+            "quasi_test_q"} <= set(names)
     for name, call, number in kernels:
         assert number >= 1, name
         call()

@@ -388,3 +388,21 @@ def test_map_file_min_poly_above_degree_64_is_input_error(tmp_path, capsys):
     }))
     assert main(["analyze", str(map_path), "--checks", "keller"]) == 2
     assert capsys.readouterr().err.startswith("error: min_poly has degree 128")
+
+
+def test_jc_minus_on_a_huge_exponent_answers_fast(tmp_path, capsys):
+    # H = (x1^1000000): composing (x - H)^1000000 for the quasi-translation
+    # test never finished; JH H = 10^6 x1^1999999 is one product
+    import time
+
+    map_path = tmp_path / "huge.json"
+    map_path.write_text(json.dumps({
+        "field": {"min_poly": ["0", "1"]},
+        "nvars": 1,
+        "components": [{"nvars": 1, "terms": [{"exps": [1000000], "coeff": "1"}]}],
+    }, separators=(",", ":")))
+    assert len(map_path.read_bytes()) <= 125
+    start = time.perf_counter()
+    assert main(["analyze", str(map_path), "--checks", "jc-minus"]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert json.loads(capsys.readouterr().out)["conditions"] == {"jc_minus": "undecided"}

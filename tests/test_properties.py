@@ -21,7 +21,8 @@ from kellerlab.properties import (CHAIN_CONDITIONS, FAILS, HOLDS, UNDECIDED,
                                   substituted_jacobian_sum,
                                   triangularization_from_certificate,
                                   verify_star_certificate, verify_sum_witness)
-from kellerlab.properties import _strong_nilpotence_flag, _term_is_triangular
+from kellerlab.properties import (_adapted_basis, _pivots, _strong_nilpotence_flag,
+                                  _term_is_triangular)
 from kellerlab.constructions import (FAMILY_KINDS, FamilySpec, family_certificate,
                                      make_family)
 
@@ -728,3 +729,211 @@ def test_certificate_round_trip_inverts_t_once(monkeypatch):
     back = certificate_from_triangularization(h, t_matrix)
     assert len(calls) == 1
     assert verify_star_certificate(h, back)
+
+
+# -- the flag on integer vectors against the Scalar flag it replaced -----------
+
+def _scalar_coefficient_matrices(jac):
+    mats = {}
+    for i, row in enumerate(jac.entries):
+        for j, entry in enumerate(row):
+            for m, value in entry.terms.items():
+                mats.setdefault(m, []).append((i, j, value))
+    return dict(sorted(mats.items()))
+
+
+def _scalar_apply(entries, vector, zero):
+    out = [zero] * len(vector)
+    for i, j, value in entries:
+        if not vector[j].is_zero():
+            out[i] = out[i] + value * vector[j]
+    return out
+
+
+def _reference_flag(jac):
+    """The flag on `Scalar` vectors, every level's pivots by one `linalg.rref`."""
+    field, n = jac.field, jac.nvars
+    if jac.is_lower_triangular(strict=True):
+        return PolyMatrix.identity(field, n, n), None
+    zero = field.zero()
+    mats = _scalar_coefficient_matrices(jac)
+    units = linalg.identity_grid(field, n)
+    levels = [[((), j, units[j]) for j in range(n)]]
+    for _ in range(n):
+        images = [((m,) + word, j, _scalar_apply(entries, v, zero))
+                  for word, j, v in levels[-1] for m, entries in mats.items()]
+        level = [images[p] for p in _pivots([v for _, _, v in images])]
+        if not level:
+            deepest_first = [v for step in reversed(levels[1:]) for _, _, v in step]
+            return _adapted_basis(deepest_first, field, n), None
+        levels.append(level)
+    word, j, image = levels[-1][0]
+    return None, {"kind": "word", "word": list(word), "unit": j, "image": image}
+
+
+# Q(sqrt(-9/2)) folds t^2 to -9/2, so its products leave the integers
+_FLAG_FIELDS = (QQ, Field(cyclotomic(3)), Field(cyclotomic(5)), Field([Fraction(9, 2), 0, 1]))
+
+
+def _random_scalar(rng, field):
+    return field.element([Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                          if rng.random() < 0.6 else 0 for _ in range(field.degree)])
+
+
+def _random_invertible(rng, field, n, values):
+    while True:
+        grid = [[field.scalar(rng.choice(values)) for _ in range(n)] for _ in range(n)]
+        if linalg.invert(grid, field) is not None:
+            return PolyMatrix.from_scalars(field, n, grid)
+
+
+def _random_hidden_triangular(rng, field, n):
+    """T^{-1} G(Tx) with G mostly strictly triangular: many maps are strongly
+    nilpotent, and those that are not often have a flag that stops shrinking."""
+    comps = []
+    for i in range(n):
+        items = []
+        upper = i if rng.random() < 0.75 else n
+        for _ in range(rng.randint(0, 2) if upper else 0):
+            exps = [0] * n
+            for _ in range(rng.randint(1, 3)):
+                exps[rng.randrange(upper)] += 1
+            items.append((tuple(exps), _random_scalar(rng, field)))
+        comps.append(MultiPoly.from_terms(field, n, items))
+    t_matrix = _random_invertible(rng, field, n, (-1, 0, 0, 0, 1, 2, Fraction(1, 2)))
+    return conjugate(PolyMap(comps), t_matrix)
+
+
+def _dense_sign_matrix(rng, field, n):
+    return _random_invertible(rng, field, n, (-1, 1))
+
+
+def test_integer_flag_matches_scalar_flag_fuzz():
+    # the same T grid and the same witness, byte for byte, on random JH over
+    # four fields and on the paper's families behind dense +-1 T
+    import random
+
+    rng = random.Random(4242)
+    cases = []
+    for field, trials in zip(_FLAG_FIELDS, (80, 50, 30, 50)):
+        for _ in range(trials):
+            cases.append(_random_hidden_triangular(rng, field, rng.randint(2, 5)))
+    # W_1 = W_2 = K^2, but the first vector of W_1 has no nonzero image: a
+    # level cut one vector short would read this map strongly nilpotent
+    x1, _ = variables(QQ, 2)
+    cases.append(PolyMap([x1 ** 2 * Fraction(1, 2), x1]))
+    n5_t = PolyMatrix.from_scalars(QQ, 5, [[-1, 0, -1, 0, 0], [0, 0, 0, 1, -1], [0, 1, 1, 0, 0],
+                                           [-1, 0, 0, 0, -1], [-1, -1, 0, 0, 0]])
+    cases.append(conjugate(make_family(FamilySpec("n5", 2)), n5_t))
+    for spec in (FamilySpec("n4", 3), FamilySpec("n5", 2), FamilySpec("n5", 3),
+                 FamilySpec("f666", 2, n=4), FamilySpec("f666", 3, n=5),
+                 FamilySpec("f667", 3, n=4), FamilySpec("f667", 4, n=4)):
+        h = make_family(spec)
+        for _ in range(2):
+            cases.append(conjugate(h, _dense_sign_matrix(rng, h.field, h.nvars)))
+    assert len(cases) >= 200
+    holds = {}
+    for index, h in enumerate(cases):
+        jac = jacobian(h)
+        expected = _reference_flag(jac)
+        assert _strong_nilpotence_flag(jac) == expected, (index, h)
+        holds.setdefault(h.field, []).append(expected[0] is not None)
+    for field in _FLAG_FIELDS:
+        assert 5 <= sum(holds[field]) <= len(holds[field]) - 5, field
+
+
+# -- quasi-translation by JH H = 0 against the residual H(x - H) - H -----------
+
+def _residual(h):
+    return map_compose(h, PolyMap.identity(h.field, h.nvars) - h) - h
+
+
+def _assert_quasi_agrees(h):
+    residual = _residual(h)
+    f = plus_identity(h)
+    assert is_quasi_translation(f) == residual.is_zero(), h
+    rep = chain_report(f, checks=["quasi", "jc_minus"])
+    if residual.is_zero():
+        assert rep.verdict("quasi") == HOLDS
+        assert rep.witness("jc_minus")["map"] == PolyMap.identity(h.field, h.nvars) - h
+    else:
+        index = next(i for i, c in enumerate(residual.components) if not c.is_zero())
+        assert rep.verdict("quasi") == FAILS
+        assert rep.witness("quasi") == {"kind": "component", "index": index,
+                                        "value": residual.components[index]}
+    return residual.is_zero()
+
+
+def _random_map(rng, field, n, degree=2):
+    """Any monomials up to `degree`, constant and linear terms included."""
+    comps = []
+    for _ in range(n):
+        items = []
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * n
+            for _ in range(rng.randint(0, degree)):
+                exps[rng.randrange(n)] += 1
+            items.append((tuple(exps), _random_scalar(rng, field)))
+        comps.append(MultiPoly.from_terms(field, n, items))
+    return PolyMap(comps)
+
+
+def _first_row_quasi(rng, field, n):
+    """H = f(x2, ..., xn) e1, constant and linear terms of f included."""
+    f = _random_map(rng, field, n, degree=3).components[0]
+    f = MultiPoly(field, n, {e: c for e, c in f.terms.items() if e[0] == 0})
+    return PolyMap([f] + [MultiPoly.zero(field, n)] * (n - 1))
+
+
+def test_quasi_by_jh_h_matches_residual_fuzz():
+    import random
+
+    rng = random.Random(1996)
+    zeta3 = Field(cyclotomic(3))
+    quasi = []
+    for field in (QQ, zeta3):
+        for _ in range(30):
+            quasi.append(_assert_quasi_agrees(_random_map(rng, field, rng.randint(1, 4))))
+        for spec in (FamilySpec("n4", 3), FamilySpec("small2", 3), FamilySpec("small3", 3),
+                     FamilySpec("nonhomog_n4", 3)):
+            h = PolyMap([lift_to_field(c, field) for c in make_family(spec).components])
+            t_matrix = _random_invertible(rng, field, h.nvars, (-1, 0, 1, 1, 2))
+            assert _assert_quasi_agrees(conjugate(h, t_matrix)), spec
+        for _ in range(6):
+            n = rng.randint(2, 4)
+            h = _first_row_quasi(rng, field, n)
+            t_matrix = _random_invertible(rng, field, n, (-1, 0, 1, 1, 2))
+            assert _assert_quasi_agrees(conjugate(h, t_matrix))
+            # one more term in another component spoils it, mostly
+            spoiled = PolyMap([h.components[0], *h.components[1:-1],
+                               h.components[-1] + _random_map(rng, field, n).components[0]])
+            quasi.append(_assert_quasi_agrees(conjugate(spoiled, t_matrix)))
+    assert 5 <= sum(quasi) <= len(quasi) - 30
+
+
+def _hypothesis_maps():
+    from hypothesis import strategies as st
+
+    def build(n, items):
+        comps = [MultiPoly.from_terms(QQ, n, [(exps, c) for i, exps, c in items if i == k])
+                 for k in range(n)]
+        return PolyMap(comps)
+
+    def for_n(n):
+        term = st.tuples(st.integers(0, n - 1),
+                         st.tuples(*[st.integers(0, 2)] * n),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        return st.lists(term, max_size=4).map(lambda items: build(n, items))
+
+    return st.integers(1, 3).flatmap(for_n)
+
+
+def test_quasi_by_jh_h_matches_residual_property():
+    from hypothesis import given, settings
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hypothesis_maps())
+    def check(h):
+        _assert_quasi_agrees(h)
+
+    check()
