@@ -25,7 +25,16 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
 - `strong_nilpotence_flag_zeta3`: the same for f667 at d = 3, n = 4 over
   Q(zeta_3), which it triangularizes;
 - `quasi_test_q`: `is_quasi_translation` on the n4 family at d = 3 behind a
-  +-1 change of basis; the map is a quasi-translation.
+  +-1 change of basis; the map is a quasi-translation;
+- `linear_form_power_zeta5`: (zeta x1 + x2 - x3)^9 over Q(zeta_5), the power
+  of a linear form that certificates and identities expand;
+- `is_pure_power_q`: `is_pure_power` on 3/2 (x1 + 2 x3 - x5)^6 in 6 variables;
+- `orthogonality_f666_d6`: the orthogonality clause of the f666 certificate
+  at d = 6 (13 triples in 14 variables over Q), every pair c_j^t b_i, i >= j;
+- `matrix_rank_q`: the rank over Q(x) of the 13 x 13 Jacobian of the pairing
+  example's G, which is 5;
+- `invert_triangular_q`: the inverse of x + H for the f666 family at d = 4
+  (n = 10), whose Jacobian is strictly lower triangular.
 
 Prints one JSON object with the machine, the Python version, the repeat
 count and, per kernel, the calls per repeat and the best time per call.
@@ -45,11 +54,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from kellerlab import properties  # noqa: E402
-from kellerlab.constructions import FamilySpec, make_family  # noqa: E402
+from kellerlab.constructions import (FamilySpec, family_certificate, gz_example,  # noqa: E402
+                                     make_family)
 from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
-from kellerlab.multipoly import MultiPoly, divide_exact, variables  # noqa: E402
-from kellerlab.polymap import (PolyMatrix, conjugate, jacobian, linear_combinations,  # noqa: E402
-                               matrix_det, plus_identity)
+from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact, is_pure_power,  # noqa: E402
+                                 variables)
+from kellerlab.polymap import (PolyMatrix, conjugate, invert_triangular, jacobian,  # noqa: E402
+                               linear_combinations, matrix_det, matrix_rank, plus_identity)
 
 REPEAT = 7
 SEED = 6
@@ -139,6 +150,11 @@ def kernels():
     n5_jh = jacobian(_hidden_family("n5", 2))
     f667_jh = jacobian(_hidden_family("f667", 3, 4))
     n4_f = plus_identity(_hidden_family("n4", 3))
+    zeta_form = LinearForm(z5, [z5.generator(), 1, -1]).to_poly()
+    scaled_power = LinearForm(QQ, [1, 0, 2, 0, -1, 0]).to_poly() ** 6 * Fraction(3, 2)
+    f666_cert = family_certificate(FamilySpec("f666", 6))
+    gz_jacobian = jacobian(gz_example().G)
+    f666_f = plus_identity(make_family(FamilySpec("f666", 4)))
     return [
         ("fraction_mul", lambda: fa * fb, 20000),
         ("scalar_mul_q", lambda: qa * qb, 20000),
@@ -153,6 +169,11 @@ def kernels():
         ("strong_nilpotence_flag_zeta3",
          lambda: properties._strong_nilpotence_flag(f667_jh), 10),
         ("quasi_test_q", lambda: properties.is_quasi_translation(n4_f), 10),
+        ("linear_form_power_zeta5", lambda: zeta_form ** 9, 10),
+        ("is_pure_power_q", lambda: is_pure_power(scaled_power), 10),
+        ("orthogonality_f666_d6", lambda: properties._orthogonality_failure(f666_cert), 20),
+        ("matrix_rank_q", lambda: matrix_rank(gz_jacobian), 10),
+        ("invert_triangular_q", lambda: invert_triangular(f666_f), 5),
     ]
 
 

@@ -16,6 +16,7 @@ identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -34,6 +35,7 @@ CHECK_NAMES = {c.replace("_", "-"): c for c in CHAIN_CONDITIONS}
 _INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError)
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kellerlab")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,8 +13,8 @@ tabulates once in `Field.fold`; the fold holds for any monic m.  Integral
 table entries (every cyclotomic m) are stored as int, so folding a product
 of integers, as `multipoly` does, stays in integers; a non-integral m folds
 in Fractions through the same code.  Over Q (m = t, one coordinate) there
-is nothing to fold and the product is one coordinate product.  Inverses use
-the extended Euclidean algorithm.
+is nothing to fold and the product is one coordinate product (`Field.times`
+on bare lists).  Inverses use the extended Euclidean algorithm.
 
 Reducible minimal polynomials are accepted by the library (the quotient is
 then only a ring), and division raises when the divisor is not invertible
@@ -136,6 +136,15 @@ class Field:
                 for i, c in fold:
                     prod[base + i] += top * c
         return prod[:deg]
+
+    def times(self, a, b):
+        """The product of two coordinate lists (integers, say), folded by `reduce`."""
+        prod = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return self.reduce(prod)
 
     @property
     def is_rational(self) -> bool:

@@ -13,6 +13,11 @@ schoolbook product of the nonzero coordinates, accumulated unreduced (length
 m once with `Field.reduce`, and each coordinate becomes one Fraction over
 D1 D2; monomials that come out zero are dropped.  Stored coefficients stay
 `Scalar`s with Fraction coordinates.
+
+A power of an affine form is expanded by the multinomial theorem on the same
+integer coordinates, where no two compositions of the exponent give the same
+monomial; other powers are repeated squaring.  `is_pure_power` reads its
+candidate off the coefficients of x_p^d and x_p^(d-1) x_j and expands it once.
 """
 
 from __future__ import annotations
@@ -37,12 +42,16 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+def _numerators(scalars):
+    """(D, [[n_i]]): each Scalar's coordinates as integer numerators over D, their lcm."""
+    den = math.lcm(*(c.denominator for s in scalars for c in s.coords))
+    return den, [[c.numerator * (den // c.denominator) for c in s.coords] for s in scalars]
+
+
 def _integer_terms(terms):
-    """(D, [(exps, [(i, n_i)])]): each coefficient's nonzero coordinates as
-    integer numerators n_i over D, the lcm of every coordinate denominator."""
-    den = math.lcm(*(c.denominator for s in terms.values() for c in s.coords))
-    return den, [(e, [(i, c.numerator * (den // c.denominator)) for i, c in enumerate(s.coords) if c])
-                 for e, s in terms.items()]
+    """(D, [(exps, [(i, n_i)])]): `_numerators` of the coefficients, nonzero n_i only."""
+    den, coords = _numerators(terms.values())
+    return den, [(e, [(i, x) for i, x in enumerate(c) if x]) for e, c in zip(terms, coords)]
 
 
 def _coerce_coeff(field: Field, value) -> Scalar:
@@ -213,6 +222,8 @@ class MultiPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers need a non-negative integer exponent")
+        if exponent > 1 and self.terms and all(sum(e) <= 1 for e in self.terms):
+            return self._affine_power(exponent)
         result = MultiPoly.constant(self.field, self.nvars, 1)
         base = self
         k = exponent
@@ -222,6 +233,43 @@ class MultiPoly:
             base = base * base if k > 1 else base
             k >>= 1
         return result
+
+    def _affine_power(self, d: int) -> "MultiPoly":
+        """(sum_t c_t x^{e_t})^d, each e_t of degree <= 1: the compositions k of d,
+        walked depth first on integer coordinates over D^d, give distinct monomials
+        sum_t k_t e_t.  c_t^k is tabulated once as (m, v): an integer m joining the
+        multinomial coefficient when c_t is rational, else a folded vector v."""
+        field = self.field
+        den, coords = _numerators(self.terms.values())
+        one = [1] + [0] * (field.degree - 1)
+        tables = []
+        for e, c in zip(self.terms, coords):
+            powers = [(1, None)]
+            for _ in range(d):
+                m, v = powers[-1]
+                powers.append((m * c[0], None) if not any(c[1:])
+                              else (1, field.times(c, v or one)))
+            tables.append((e.index(1) if any(e) else None, powers))
+        scale, last, exps, terms = den ** d, len(tables) - 1, [0] * self.nvars, {}
+
+        def walk(t, left, coef, prod):
+            var, powers = tables[t]
+            for k in range(left + 1) if t < last else (left,):
+                m, v = powers[k]
+                part = prod if v is None else field.times(v, prod)
+                if not any(part):
+                    continue
+                if var is not None:
+                    exps[var] = k
+                weight = coef * math.comb(left, k) * m
+                if t < last:
+                    walk(t + 1, left - k, weight, part)
+                else:
+                    terms[tuple(exps)] = Scalar(field, tuple(
+                        Fraction(weight * x, scale) if x else _ZERO for x in part))
+
+        walk(0, d, 1, one)
+        return MultiPoly(field, self.nvars, terms)
 
     # -- calculus and substitution ----------------------------------------
 
@@ -455,9 +503,9 @@ def is_pure_power(poly: MultiPoly):
     The first nonzero coordinate of c is 1.  Returns (c, d, lam) or None;
     the zero polynomial reports (zero form, 1, 0) by convention.
 
-    Each candidate coordinate comes from the exact quotient of partial
-    derivatives, so a non-polynomial or non-constant ratio rules the shape
-    out before the final verification.
+    With p the first variable that occurs, lam is the coefficient of x_p^d
+    and d lam c_j that of x_p^(d-1) x_j, so the candidate is read off two
+    kinds of coefficient and one expansion lam (c^t x)^d decides.
     """
     field, nvars = poly.field, poly.nvars
     if poly.is_zero():
@@ -465,26 +513,19 @@ def is_pure_power(poly: MultiPoly):
     d = poly.degree()
     if d < 1:
         return None
-    derivs = [poly.partial_derivative(i) for i in range(nvars)]
-    pivot = next((i for i, g in enumerate(derivs) if not g.is_zero()), None)
-    if pivot is None:
+    lead = max(poly.terms)  # x_p^d when poly is a power
+    p = next(i for i, e in enumerate(lead) if e)
+    if lead[p] != d:
         return None
-    coeffs = [field.zero()] * nvars
-    coeffs[pivot] = field.one()
-    for j in range(nvars):
-        if j == pivot or derivs[j].is_zero():
-            continue
-        ratio = divide_exact(derivs[j], derivs[pivot])
-        if ratio is None or not ratio.is_constant():
-            return None
-        coeffs[j] = ratio.constant_value()
+    lam = poly.terms[lead]
+    coeffs = [field.one() if j == p else field.zero() for j in range(nvars)]
+    for j in range(p + 1, nvars):
+        near = [0] * nvars
+        near[p], near[j] = d - 1, 1
+        c = poly.terms.get(tuple(near))
+        if c is not None:
+            coeffs[j] = c / (lam * d)
     form = LinearForm(field, coeffs)
-    base = form.to_poly() ** d
-    lead = max(poly.terms)
-    base_lead = base.terms.get(lead)
-    if base_lead is None:
-        return None
-    lam = poly.terms[lead] / base_lead
-    if poly != base * lam:
+    if form.to_poly() ** d * lam != poly:
         return None
     return form, d, lam

@@ -24,8 +24,12 @@ JC and JC+ hold, and JC- holds by inverting T^{-1} F(Tx).  Maps that fail
 it go through symbolic determinants and nilpotency.  (**) and (***) are
 verified via explicit certificates; their failure is asserted only by two
 sound desk-scale oracles (single-term matching in dimension 2, and the
-one-dimensional component-span argument).  (JC-) is never decided in the
-negative: the verdict is holds only when an inverse is exhibited.
+one-dimensional component-span argument, whose generator is the first
+nonzero component once every other one is a multiple of it).  (JC-) is
+never decided in the negative: the verdict is holds only when an inverse is
+exhibited.  A certificate's orthogonality clause is tested on integer
+numerators: each c_j and b_i is scaled once to integer coordinates, and each
+pairing is an integer convolution folded by `Field.reduce`.
 
 x + H is a quasi-translation, H(x - H) = H, exactly when JH H = 0 (de
 Bondt, Proc. AMS 134, 2006).  If JH H = 0, H is constant along the flow of
@@ -43,7 +47,7 @@ from functools import cached_property
 
 from . import linalg
 from .exactfield import Field, Scalar, rational_roots
-from .multipoly import (LinearForm, MultiPoly, _integer_terms, is_pure_power,
+from .multipoly import (LinearForm, MultiPoly, _integer_terms, _numerators, is_pure_power,
                         lift_to_field, rename_variables)
 from .polymap import (PolyMap, PolyMatrix, change_basis, conjugation_grids, jacobian,
                       linear_combinations, matrix_det, invert_triangular,
@@ -344,16 +348,6 @@ def _primitive(coords, den=0):
     return den, coords
 
 
-def _times(field: Field, a, b):
-    """The product of two field elements on integer coordinates."""
-    prod = [0] * (2 * len(a) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return field.reduce(prod)
-
-
 def _image(field: Field, mat, vec):
     """A v as (den, integer coordinates), for A from `_coefficient_matrices`."""
     (den_a, entries), (den_v, coords) = mat, vec
@@ -372,7 +366,7 @@ def _extends(field: Field, basis: list, coords) -> bool:
     for p, row in basis:
         c = v[p]
         if any(c):
-            v = _primitive([[x - y for x, y in zip(_times(field, row[p], a), _times(field, c, b))]
+            v = _primitive([[x - y for x, y in zip(field.times(row[p], a), field.times(c, b))]
                             for a, b in zip(v, row)])[1]
     p = next((k for k, e in enumerate(v) if any(e)), None)
     if p is not None:
@@ -411,7 +405,6 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
         return PolyMatrix.identity(field, n, n), None
     zero = field.zero()
     mats = _coefficient_matrices(jac)
-    units = linalg.identity_grid(field, n)
     levels = [[((), j, (1, [[int(i == j)] + [0] * (field.degree - 1) for i in range(n)]))
                for j in range(n)]]
     for _ in range(n):
@@ -428,16 +421,19 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
                              for _, _, v in step]
             return _adapted_basis(deepest_first, field, n), None
         levels.append(level)
-    word, j, image = levels[-1][0]
-    image = _scalars(field, image)
-    # re-check against the Jacobian entries themselves
-    check = units[j]
+    word, j, (den, image) = levels[-1][0]
+    # re-check against the Jacobian entries themselves, on integer numerators
+    scale, check = 1, levels[0][j][2][1]
     for m in reversed(word):
-        check = [sum((row[c].terms.get(m, zero) * check[c] for c in range(n)), zero)
-                 for row in jac.entries]
-    if check != image or all(a.is_zero() for a in image):
+        step, entries = _numerators([e.terms.get(m, zero) for row in jac.entries for e in row])
+        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+        scale, check = scale * step, [list(map(sum, zip(*map(field.times, row, check))))
+                                      for row in rows]
+    if (any(x * den != y * scale for a, b in zip(check, image) for x, y in zip(a, b))
+            or not any(map(any, image))):
         raise ArithmeticError("strong-nilpotence word failed re-verification")
-    return None, {"kind": "word", "word": list(word), "unit": j, "image": image}
+    return None, {"kind": "word", "word": list(word), "unit": j,
+                  "image": _scalars(field, (den, image))}
 
 
 def _adapted_basis(chain, field: Field, n: int) -> PolyMatrix:
@@ -555,10 +551,15 @@ def certificate_failure(map_: PolyMap, cert: StarCertificate, level: str | None 
 
 
 def _orthogonality_failure(cert: StarCertificate):
-    """The first "(i,j)", 1-based, with i >= j and c_j^t b_i != 0, or None."""
-    for i in range(cert.count):
+    """The first "(i,j)", 1-based, with i >= j and c_j^t b_i != 0, or None, on
+    integer numerators of each c_j and b_i: a common scale keeps a zero test."""
+    field = cert.field
+    forms = [[(k, a) for k, a in enumerate(_numerators(c.coeffs)[1]) if any(a)]
+             for c, _, _ in cert.triples]
+    for i, (_, _, b) in enumerate(cert.triples):
+        b = _numerators(b)[1]
         for j in range(i + 1):
-            if not cert.triples[j][0].dot(cert.triples[i][2]).is_zero():
+            if any(map(sum, zip(*(field.times(a, b[k]) for k, a in forms[j])))):
                 return f"({i + 1},{j + 1})"
     return None
 
@@ -706,20 +707,17 @@ def _single_term_certificate(map_: PolyMap):
     return cert
 
 
-def _component_span(map_: PolyMap):
-    """A basis of the linear span of the components, as polynomials."""
-    monomials = sorted({e for comp in map_.components for e in comp.terms})
-    rows = [[comp.terms.get(e, map_.field.zero()) for e in monomials]
-            for comp in map_.components]
-    reduced, pivots = linalg.rref(rows)
-    basis = []
-    for r in range(len(pivots)):
-        terms = {}
-        for e, v in zip(monomials, reduced[r]):
-            if not v.is_zero():
-                terms[e] = v
-        basis.append(MultiPoly(map_.field, map_.nvars, terms))
-    return basis
+def _span_generator(map_: PolyMap):
+    """The generator of the components' span, normalized to 1 at its smallest
+    monomial, when that span is a line; None otherwise.  H must be nonzero."""
+    first, *rest = (comp for comp in map_.components if not comp.is_zero())
+    low = min(first.terms)
+    generator = first * first.terms[low].inverse()
+    for comp in rest:
+        coeff = comp.terms.get(low)
+        if coeff is None or comp != generator * coeff:
+            return None
+    return generator
 
 
 def _decide_level_oracle(map_: PolyMap, level: str):
@@ -740,9 +738,9 @@ def _decide_level_oracle(map_: PolyMap, level: str):
         return (HOLDS, {"kind": "certificate", "certificate": cert.with_level(level)},
                 "single-term oracle")
     if level == "triplestar":
-        basis = _component_span(map_)
-        if len(basis) == 1 and is_pure_power(basis[0]) is None:
-            return (FAILS, {"kind": "span_generator", "generator": basis[0]},
+        generator = _span_generator(map_)
+        if generator is not None and is_pure_power(generator) is None:
+            return (FAILS, {"kind": "span_generator", "generator": generator},
                     "component-span oracle: with independent b_i every form power lies in "
                     "the span, but its generator is not a power of a linear form")
     return UNDECIDED, None, "no verifying certificate; outside the oracles"

@@ -20,7 +20,8 @@ def test_every_microbench_kernel_runs_once():
     assert len(names) == len(set(names))
     assert {"multipoly_mul_zeta5", "multipoly_substitute_q", "divide_exact_q",
             "matrix_det_q", "strong_nilpotence_flag_q", "strong_nilpotence_flag_zeta3",
-            "quasi_test_q"} <= set(names)
+            "quasi_test_q", "linear_form_power_zeta5", "is_pure_power_q",
+            "orthogonality_f666_d6", "matrix_rank_q", "invert_triangular_q"} <= set(names)
     for name, call, number in kernels:
         assert number >= 1, name
         call()
