@@ -34,7 +34,15 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
 - `matrix_rank_q`: the rank over Q(x) of the 13 x 13 Jacobian of the pairing
   example's G, which is 5;
 - `invert_triangular_q`: the inverse of x + H for the f666 family at d = 4
-  (n = 10), whose Jacobian is strictly lower triangular.
+  (n = 10), whose Jacobian is strictly lower triangular;
+- `matrix_power_q`: JH^5 for the n5 family at d = 2 behind the +-1 change of
+  basis of `strong_nilpotence_flag_q`, the `nilpotent` check's power;
+- `sum_condition_det_q`: the determinant of JF summed at 2 tuples of fresh
+  indeterminates (12 variables) for the n4 family at d = 3 behind the
+  change of basis of `quasi_test_q`, the `jc` check's determinant;
+- `change_basis_f666_d4`: the f666 family at d = 4 (n = 10) behind a dense
+  +-1 change of basis T, taken back by change_basis(G, T^-1, T), as a
+  `jc_minus` inverse is.
 
 Prints one JSON object with the machine, the Python version, the repeat
 count and, per kernel, the calls per repeat and the best time per call.
@@ -53,14 +61,15 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from kellerlab import properties  # noqa: E402
+from kellerlab import linalg, properties  # noqa: E402
 from kellerlab.constructions import (FamilySpec, family_certificate, gz_example,  # noqa: E402
                                      make_family)
 from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
 from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact, is_pure_power,  # noqa: E402
                                  variables)
-from kellerlab.polymap import (PolyMatrix, conjugate, invert_triangular, jacobian,  # noqa: E402
-                               linear_combinations, matrix_det, matrix_rank, plus_identity)
+from kellerlab.polymap import (PolyMatrix, change_basis, conjugate,  # noqa: E402
+                               invert_triangular, jacobian, linear_combinations, matrix_det,
+                               matrix_rank, plus_identity)
 
 REPEAT = 7
 SEED = 6
@@ -125,6 +134,11 @@ _HIDING = {
                       [-1, 0, 0, 0, -1], [-1, -1, 0, 0, 0]],
     ("f667", 3, 4): [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1], [1, 0, 0, -1]],
     ("n4", 3, None): [[0, 1, -1, 0], [1, 0, 1, 0], [0, 0, -1, 1], [0, -1, -1, 0]],
+    ("f666", 4, None): [[0, 1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1, 0, 1, 0, 0],
+                        [0, 0, 0, 0, 1, 0, 0, -1, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, -1],
+                        [0, 0, 0, 0, 0, 0, -1, 0, 0, -1], [0, 0, -1, 0, 0, 1, 0, 0, 0, 0],
+                        [1, 0, 0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, -1, 1, 0],
+                        [0, 0, 0, 0, 0, -1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1, 1, 0, 0]],
 }
 
 
@@ -155,6 +169,10 @@ def kernels():
     f666_cert = family_certificate(FamilySpec("f666", 6))
     gz_jacobian = jacobian(gz_example().G)
     f666_f = plus_identity(make_family(FamilySpec("f666", 4)))
+    n4_sum = properties.substituted_jacobian_sum(n4_f, 2)
+    f666_hidden = _hidden_family("f666", 4)
+    f666_t = [[QQ.scalar(v) for v in row] for row in _HIDING["f666", 4, None]]
+    f666_t_inv = linalg.invert(f666_t, QQ)
     return [
         ("fraction_mul", lambda: fa * fb, 20000),
         ("scalar_mul_q", lambda: qa * qb, 20000),
@@ -174,6 +192,9 @@ def kernels():
         ("orthogonality_f666_d6", lambda: properties._orthogonality_failure(f666_cert), 20),
         ("matrix_rank_q", lambda: matrix_rank(gz_jacobian), 10),
         ("invert_triangular_q", lambda: invert_triangular(f666_f), 5),
+        ("matrix_power_q", lambda: n5_jh.power(5), 10),
+        ("sum_condition_det_q", lambda: matrix_det(n4_sum), 2),
+        ("change_basis_f666_d4", lambda: change_basis(f666_hidden, f666_t_inv, f666_t), 2),
     ]
 
 

@@ -38,6 +38,11 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational; bools raise."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and value.isascii():
+        # plain -?[0-9]+(/[0-9]+)? through int(); anything else, Fraction's own parser
+        num, slash, den = value.partition("/")
+        if num[num.startswith("-"):].isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")

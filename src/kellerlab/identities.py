@@ -18,7 +18,7 @@ from math import comb
 
 from . import linalg
 from .exactfield import Field, QQ, cyclotomic
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, sums_of_products
 from .properties import FAILS, HOLDS, PropertyReport
 
 __all__ = ["IDENTITY_NAMES", "verify_identity", "relation_kernel",
@@ -31,11 +31,8 @@ def _alternating_sum(field: Field, nvars: int, base: int, step: int, d: int) -> 
     """sum_{i=0}^{d} (-1)^i C(d,i) (x_base + i x_step)^d."""
     xb = MultiPoly.variable(field, nvars, base)
     xs = MultiPoly.variable(field, nvars, step)
-    total = MultiPoly.zero(field, nvars)
-    for i in range(d + 1):
-        sign = comb(d, i) if i % 2 == 0 else -comb(d, i)
-        total = total + (xb + xs * i) ** d * sign
-    return total
+    return sums_of_products(field, nvars, [[((-1) ** i * comb(d, i), (xb + xs * i) ** d,
+                                             field.one()) for i in range(d + 1)]])[0]
 
 
 def _root_average(field: Field, nvars: int, d: int, shift_sign: int) -> MultiPoly:
@@ -44,14 +41,14 @@ def _root_average(field: Field, nvars: int, d: int, shift_sign: int) -> MultiPol
     x1 = MultiPoly.variable(field, nvars, 0)
     x2 = MultiPoly.variable(field, nvars, 1)
     x3 = MultiPoly.variable(field, nvars, 2) if nvars >= 3 else None
-    total = MultiPoly.zero(field, nvars)
+    pairs = []
     for i in range(d):
         zi = zeta ** i
         inner = x1 * zi + x2
         if shift_sign and x3 is not None:
             inner = inner + x3 * shift_sign
-        total = total + inner ** d * zi
-    return total
+        pairs.append((1, inner ** d, zi))
+    return sums_of_products(field, nvars, [pairs])[0]
 
 
 def verify_identity(name: str, d: int) -> bool:
@@ -88,13 +85,11 @@ def verify_identity(name: str, d: int) -> bool:
         x1 = MultiPoly.variable(QQ, 2 * d + 2, 0)
         x3 = MultiPoly.variable(QQ, 2 * d + 2, 2)
         lhs = (x1 + x3) ** d * d
-        rhs = comps[2]
-        for i in range(2, d + 1):
-            sign = comb(d, i) if i % 2 == 0 else -comb(d, i)
-            rhs = rhs + comps[i + 1] * sign
-        for i in range(1, d + 1):
-            sign = comb(d, i) if i % 2 == 0 else -comb(d, i)
-            rhs = rhs - comps[i + d + 1] * sign
+        one = QQ.one()
+        rhs = sums_of_products(QQ, 2 * d + 2, [
+            [(1, comps[2], one)]
+            + [((-1) ** i * comb(d, i), comps[i + 1], one) for i in range(2, d + 1)]
+            + [((-1) ** (i + 1) * comb(d, i), comps[i + d + 1], one) for i in range(1, d + 1)]])[0]
         return lhs == rhs
     # pl667
     family = make_family(FamilySpec("f667", d))
@@ -106,9 +101,9 @@ def verify_identity(name: str, d: int) -> bool:
     x2 = MultiPoly.variable(field, n, 1)
     x3 = MultiPoly.variable(field, n, 2)
     lhs = (x1 + x2 + x3) ** d
-    rhs = comps[2] * (2 * d * d)
-    for k in range(4, n + 1):
-        rhs = rhs - comps[k - 1] * zeta ** (k - 3)
+    rhs = sums_of_products(field, n, [[(2 * d * d, comps[2], field.one())]
+                                      + [(-1, comps[k - 1], zeta ** (k - 3))
+                                         for k in range(4, n + 1)]])[0]
     return lhs == rhs
 
 

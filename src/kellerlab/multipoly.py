@@ -5,13 +5,15 @@ coefficients are never stored.  Monomials compare by plain tuple order,
 which is the lexicographic order with the first variable heaviest; that
 order drives leading-term division and deterministic serialization.
 
-A product runs on integers.  Each operand's coordinates are written over
-one common denominator D, the lcm of all their denominators, so every
-term pair costs integer products only: one over Q, and over Q[t]/(m) the
-schoolbook product of the nonzero coordinates, accumulated unreduced (length
-2 deg - 1) per result monomial.  Each result monomial is then folded modulo
-m once with `Field.reduce`, and each coordinate becomes one Fraction over
-D1 D2; monomials that come out zero are dropped.  Stored coefficients stay
+Every sum of products, a product included, is one call of `sums_of_products`:
+sum_k w_k a_k b_k for integer weights w_k (after the one-pass sums of Monagan
+and Pearce's heap multiplication, on FLINT fmpq_mpoly's "content times integer
+polynomial" layout).  Each operand is written once as integer numerators over
+its common denominator, so a term pair costs integer products only: one over
+Q, over Q[t]/(m) the schoolbook product of the nonzero coordinates.  A sum's
+products accumulate unreduced in one integer dict over the lcm L of its pair
+denominators; each monomial is folded modulo m once by `Field.reduce`, and each
+nonzero coordinate becomes one Fraction over L.  Stored coefficients stay
 `Scalar`s with Fraction coordinates.
 
 A power of an affine form is expanded by the multinomial theorem on the same
@@ -37,6 +39,7 @@ __all__ = [
     "rename_variables",
     "extend_variables",
     "lift_to_field",
+    "sums_of_products",
 ]
 
 _ZERO = Fraction(0)
@@ -52,6 +55,56 @@ def _integer_terms(terms):
     """(D, [(exps, [(i, n_i)])]): `_numerators` of the coefficients, nonzero n_i only."""
     den, coords = _numerators(terms.values())
     return den, [(e, [(i, x) for i, x in enumerate(c) if x]) for e, c in zip(terms, coords)]
+
+
+def sums_of_products(field: Field, nvars: int, sums) -> list:
+    """For each sum of (w, a, b) triples, sum_k w_k a_k b_k: int w_k, MultiPoly a_k,
+    and b_k a MultiPoly or a Scalar, all in the ring (field, nvars)."""
+    seen = {}  # id -> (operand, its `_integer_terms`); holding it keeps the id unique
+
+    def integer(x):
+        if id(x) not in seen:
+            seen[id(x)] = (x, *_integer_terms(x.terms if isinstance(x, MultiPoly) else {None: x}))
+        return seen[id(x)][1:]
+
+    out = []
+    for items in sums:
+        pairs = [(w, *integer(a), *integer(b)) for w, a, b in items
+                 if w and a.terms and not b.is_zero()]
+        den = math.lcm(*(da * db for _, da, _, db, _ in pairs))
+        acc = {}
+        if field.degree == 1:
+            for w, da, left, db, right in pairs:
+                scale = w * (den // (da * db))
+                for e1, [(_, a)] in left:
+                    a *= scale
+                    for e2, [(_, b)] in right:
+                        exps = e1 if e2 is None else tuple(map(add, e1, e2))
+                        acc[exps] = acc.get(exps, 0) + a * b
+            out.append(MultiPoly(field, nvars, {e: Scalar(field, (Fraction(c, den),))
+                                                for e, c in acc.items() if c}))
+            continue
+        width = 2 * field.degree - 1
+        for w, da, left, db, right in pairs:
+            scale = w * (den // (da * db))
+            for e1, a in left:
+                a = [(i, x * scale) for i, x in a]
+                for e2, b in right:
+                    exps = e1 if e2 is None else tuple(map(add, e1, e2))
+                    prod = acc.get(exps)
+                    if prod is None:
+                        prod = acc[exps] = [0] * width
+                    for i, x in a:
+                        for j, y in b:
+                            prod[i + j] += x * y
+        terms = {}
+        for exps, prod in acc.items():
+            coords = field.reduce(prod)
+            if any(coords):
+                terms[exps] = Scalar(field, tuple(Fraction(c, den) if c else _ZERO
+                                                  for c in coords))
+        out.append(MultiPoly(field, nvars, terms))
+    return out
 
 
 def _coerce_coeff(field: Field, value) -> Scalar:
@@ -182,40 +235,12 @@ class MultiPoly:
         return rhs + (-self)
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
+        # a Scalar factor enters the kernel bare, not as a constant polynomial
+        rhs = _coerce_coeff(self.field, other) if isinstance(other, Scalar) \
+            else self._coerce(other)
         if rhs is None:
             return NotImplemented
-        field = self.field
-        if not self.terms or not rhs.terms:
-            return MultiPoly.zero(field, self.nvars)
-        den1, left = _integer_terms(self.terms)
-        den2, right = _integer_terms(rhs.terms)
-        den = den1 * den2
-        acc = {}
-        if field.degree == 1:
-            for e1, [(_, a)] in left:
-                for e2, [(_, b)] in right:
-                    exps = tuple(map(add, e1, e2))
-                    acc[exps] = acc.get(exps, 0) + a * b
-            return MultiPoly(field, self.nvars, {e: Scalar(field, (Fraction(c, den),))
-                                                 for e, c in acc.items() if c})
-        width = 2 * field.degree - 1
-        for e1, a in left:
-            for e2, b in right:
-                exps = tuple(map(add, e1, e2))
-                prod = acc.get(exps)
-                if prod is None:
-                    prod = acc[exps] = [0] * width
-                for i, x in a:
-                    for j, y in b:
-                        prod[i + j] += x * y
-        terms = {}
-        for exps, prod in acc.items():
-            coords = field.reduce(prod)
-            if any(coords):
-                terms[exps] = Scalar(field, tuple(Fraction(c, den) if c else _ZERO
-                                                  for c in coords))
-        return MultiPoly(field, self.nvars, terms)
+        return sums_of_products(self.field, self.nvars, [[(1, self, rhs)]])[0]
 
     __rmul__ = __mul__
 
@@ -309,12 +334,8 @@ class MultiPoly:
         elif nvars is not None and nvars != target_nvars:
             raise ValueError("nvars conflicts with substituted polynomials")
 
-        values = []
-        for entry in assignment:
-            if isinstance(entry, MultiPoly):
-                values.append(entry)
-            else:
-                values.append(MultiPoly.constant(self.field, target_nvars, entry))
+        values = [entry if isinstance(entry, MultiPoly)
+                  else MultiPoly.constant(self.field, target_nvars, entry) for entry in assignment]
 
         one = MultiPoly.constant(self.field, target_nvars, 1)
         powers = [{0: one} for _ in range(self.nvars)]
@@ -329,28 +350,20 @@ class MultiPoly:
                     cache[j] = acc
             return cache[k]
 
-        result = MultiPoly.zero(self.field, target_nvars)
+        # the last power of each monomial is multiplied inside the sum
+        pairs = []
         for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(self.field, target_nvars, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power_of(i, e)
-            result = result + term
-        return result
+            *head, last = [power_of(i, e) for i, e in enumerate(exps) if e] or [one]
+            for factor in head:
+                coeff = factor * coeff
+            pairs.append((1, last, coeff))
+        return sums_of_products(self.field, target_nvars, [pairs])[0]
 
     def evaluate(self, point) -> Scalar:
         """Exact value at a point of scalars."""
         if len(point) != self.nvars:
             raise ValueError("point must cover all variables")
-        vals = [_coerce_coeff(self.field, v) for v in point]
-        total = self.field.zero()
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, exps):
-                if e:
-                    term = term * v ** e
-            total = total + term
-        return total
+        return self.substitute(point, nvars=0).constant_term()
 
     def __eq__(self, other):
         rhs = self._coerce(other)

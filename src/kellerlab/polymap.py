@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import linalg
 from .exactfield import Field
-from .multipoly import MultiPoly, divide_exact, variables
+from .multipoly import MultiPoly, divide_exact, sums_of_products, variables
 
 __all__ = [
     "PolyMap",
@@ -197,23 +197,10 @@ class PolyMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("matrix shapes do not compose")
-        zero = MultiPoly.zero(self.field, self.nvars)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        cols = list(zip(*other.entries))
+        sums = [[(1, a, b) for a, b in zip(row, col)] for row in self.entries for col in cols]
+        out = sums_of_products(self.field, self.nvars, sums)
+        return PolyMatrix([out[i:i + other.cols] for i in range(0, len(out), other.cols)])
 
     def power(self, k: int) -> "PolyMatrix":
         if not self.is_square:
@@ -271,6 +258,9 @@ def linear_combinations(grid, polys, zero) -> list:
     zero of the ring the result lives in.  `polys` may be polynomials or
     scalars: with scalars this is the matrix-vector product grid * polys.
     """
+    if isinstance(zero, MultiPoly):
+        return sums_of_products(zero.field, zero.nvars,
+                                [[(1, p, c) for c, p in zip(row, polys)] for row in grid])
     out = []
     for row in grid:
         acc = zero
@@ -335,8 +325,6 @@ def _det_cofactor(grid, field, nvars):
     n = len(grid)
     if n == 1:
         return grid[0][0]
-    if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
     # expand along the row with the most zeros, after transposing when a
     # column has more
     row_zeros = [sum(1 for e in row if e.is_zero()) for row in grid]
@@ -344,15 +332,11 @@ def _det_cofactor(grid, field, nvars):
     if max(col_zeros) > max(row_zeros):
         grid, row_zeros = [list(col) for col in zip(*grid)], col_zeros
     i = row_zeros.index(max(row_zeros))
-    total = MultiPoly.zero(field, nvars)
-    for j in range(n):
-        e = grid[i][j]
-        if e.is_zero():
-            continue
-        minor = [[grid[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-        term = e * _det_cofactor(minor, field, nvars)
-        total = total + term if (i + j) % 2 == 0 else total - term
-    return total
+    pairs = [(-1 if (i + j) % 2 else 1, e,
+              _det_cofactor([[grid[r][c] for c in range(n) if c != j]
+                             for r in range(n) if r != i], field, nvars))
+             for j, e in enumerate(grid[i]) if not e.is_zero()]
+    return sums_of_products(field, nvars, [pairs])[0]
 
 
 def _pick_pivot(grid, col, start):
@@ -397,8 +381,9 @@ def matrix_rank(matrix: PolyMatrix) -> int:
         for i in range(r + 1, nrows):
             if grid[i][c].is_zero():
                 continue
-            factor = grid[i][c]
-            new_row = [pivot * a - factor * b for a, b in zip(grid[i], grid[r])]
+            new_row = sums_of_products(matrix.field, matrix.nvars,
+                                       [[(1, pivot, a), (-1, grid[i][c], b)]
+                                        for a, b in zip(grid[i], grid[r])])
             if prev is not None:
                 reduced = [divide_exact(e, prev) for e in new_row]
                 if all(e is not None for e in reduced):

@@ -44,11 +44,12 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from . import linalg
 from .exactfield import Field, Scalar, rational_roots
 from .multipoly import (LinearForm, MultiPoly, _integer_terms, _numerators, is_pure_power,
-                        lift_to_field, rename_variables)
+                        lift_to_field, rename_variables, sums_of_products)
 from .polymap import (PolyMap, PolyMatrix, change_basis, conjugation_grids, jacobian,
                       linear_combinations, matrix_det, invert_triangular,
                       nonlinear_part)
@@ -129,8 +130,7 @@ class PropertyReport:
 
 def _quasi(jh: PolyMatrix, h: PolyMap) -> bool:
     """JH H = 0, which holds exactly when x + H is a quasi-translation."""
-    zero = MultiPoly.zero(h.field, h.nvars)
-    return all(sum((e * c for e, c in zip(row, h.components) if not e.is_zero()), zero).is_zero()
+    return all(sums_of_products(h.field, h.nvars, [zip(repeat(1), row, h.components)])[0].is_zero()
                for row in jh.entries)
 
 

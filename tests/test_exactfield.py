@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kellerlab.exactfield import QQ, Field, cyclotomic, rational_roots
+from kellerlab.exactfield import QQ, Field, as_fraction, cyclotomic, rational_roots
 
 
 def test_degree_one_field_is_plain_rationals():
@@ -287,3 +287,30 @@ def test_rational_roots_of_a_coefficient_list():
     assert rational_roots([]) == []
     # a constant past the search bound leaves the roots unknown
     assert rational_roots([-(10 ** 11), 0, 1]) is None
+
+
+def _parsed(parse, text):
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def test_as_fraction_parses_strings_like_fraction():
+    # the int() fast path takes -?[0-9]+(/[0-9]+)? in ASCII; every other string, and
+    # so every error, goes to Fraction's own parser
+    edge = ["0", "-0", "7", "007", "-12", "3/4", "-6/8", "10/5", "1/0", "-0/0", "1/-2", "+1",
+            "+3/4", " 1", "1 ", "\t-2/3\n", "1_000", "1_0/2_0", "1__0", "_1", "1.5", "-.5",
+            "1e3", "1E-2", "-", "", "/", "1/", "/2", "--1", "1/2/3", "1 /2", "nan", "inf",
+            "0x10", "\u0661\u0662", "1/\u0663", "\u00b2", "\uff11", "1" * 5000,
+            str(10 ** 60) + "/" + str(6 * 10 ** 59)]
+    for text in edge:
+        assert _parsed(as_fraction, text) == _parsed(Fraction, text), repr(text)
+        got = _parsed(as_fraction, text)
+        if got[0] is Fraction:
+            assert type(got[1].numerator) is int and type(got[1].denominator) is int
+    with pytest.raises(TypeError):
+        as_fraction(True)
+    with pytest.raises(TypeError):
+        as_fraction(1.5)

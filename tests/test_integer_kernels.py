@@ -1,13 +1,16 @@
-"""The integer kernels of the certificate layer against the scalar code they replaced.
+"""The integer kernels against the scalar code they replaced.
 
-Powers of affine forms (the multinomial expansion in `MultiPoly.__pow__`),
-`is_pure_power` by one expansion, the orthogonality test on numerators, the
-component-span generator and the strong-nilpotence word re-check.
+The sum-of-products kernel and the loops it replaced in determinants, matrix
+products, substitution and linear combinations; powers of affine forms (the
+multinomial expansion in `MultiPoly.__pow__`), `is_pure_power` by one
+expansion, the orthogonality test on numerators, the component-span generator
+and the strong-nilpotence word re-check.
 """
 
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from kellerlab import cli, linalg
 from kellerlab.constructions import FamilySpec, family_certificate, make_family
 from kellerlab.exactfield import QQ, Field, cyclotomic
-from kellerlab.multipoly import LinearForm, MultiPoly, divide_exact, is_pure_power
-from kellerlab.polymap import PolyMap, PolyMatrix, conjugate, jacobian
+from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact, is_pure_power,
+                                 sums_of_products)
+from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, jacobian, linear_combinations,
+                               matrix_det)
 from kellerlab.properties import (StarCertificate, _orthogonality_failure, _span_generator,
                                   _strong_nilpotence_flag, certificate_failure)
 
@@ -50,6 +55,189 @@ def _check_power(poly, d):
     assert got.terms == _repeated_product(poly, d).terms
     assert all(type(c) is Fraction for s in got.terms.values() for c in s.coords)
     assert all(not s.is_zero() for s in got.terms.values())
+
+
+# -- the sum-of-products kernel ----------------------------------------------------
+
+def _term_product(a, b):
+    """a b term by term on Scalars, b a MultiPoly or a Scalar: no integer kernel."""
+    right = b.terms if isinstance(b, MultiPoly) else {(0,) * a.nvars: b}
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in right.items():
+            exps = tuple(map(add, e1, e2))
+            terms[exps] = terms.get(exps, a.field.zero()) + c1 * c2
+    return MultiPoly(a.field, a.nvars, {e: c for e, c in terms.items() if not c.is_zero()})
+
+
+def _loop_sum(field, nvars, items):
+    """The `acc = acc + a * b` loop the kernel replaced, weights as Scalars."""
+    acc = MultiPoly.zero(field, nvars)
+    for w, a, b in items:
+        acc = acc + _term_product(_term_product(a, b), field.scalar(w))
+    return acc
+
+
+def _check_canonical(poly):
+    assert all(not s.is_zero() for s in poly.terms.values())
+    assert all(type(c) is Fraction for s in poly.terms.values() for c in s.coords)
+
+
+def _check_sums(field, nvars, sums):
+    got = sums_of_products(field, nvars, sums)
+    assert len(got) == len(sums)
+    for poly, items in zip(got, sums):
+        assert poly.terms == _loop_sum(field, nvars, items).terms
+        _check_canonical(poly)
+
+
+def _random_operand(rng, field, nvars):
+    shape = rng.random()
+    if shape < 0.1:
+        return MultiPoly.zero(field, nvars)
+    if shape < 0.3:
+        return _random_element(rng, field, 0.2)  # a bare Scalar
+    return _random_poly(rng, field, nvars)
+
+
+def _random_sum(rng, field, nvars):
+    items = []
+    for _ in range(rng.randint(0, 5)):
+        w = rng.choice([1, -1, 0, rng.randint(-9, 9), rng.randint(-10 ** 30, 10 ** 30)])
+        a, b = _random_poly(rng, field, nvars), _random_operand(rng, field, nvars)
+        if rng.random() < 0.1:
+            a = MultiPoly.zero(field, nvars)
+        items.append((w, a, b))
+        if rng.random() < 0.3:  # the same product again, weighted to cancel
+            items += [(-w, a, b)] if rng.random() < 0.5 else [(-2 * w, a, b), (w, a, b)]
+    return items
+
+
+def test_sums_of_products_match_the_loop_fuzz():
+    rng = random.Random(5050)
+    for trial in range(300):
+        field = _POWER_RINGS[trial % len(_POWER_RINGS)]
+        nvars = rng.randint(1, 4)
+        _check_sums(field, nvars, [_random_sum(rng, field, nvars) for _ in range(rng.randint(1, 3))])
+
+
+def test_sums_of_products_edge_cases():
+    field = Field([Fraction(9, 2), 0, 1])
+    x, y = (MultiPoly.variable(field, 2, i) for i in range(2))
+    half_t = field.element([0, Fraction(1, 2)])
+    a = x * half_t + Fraction(1, 3)
+    assert sums_of_products(field, 2, []) == []
+    assert sums_of_products(field, 2, [[]]) == [MultiPoly.zero(field, 2)]
+    zero = MultiPoly.zero(field, 2)
+    assert sums_of_products(field, 2, [[(1, zero, a), (1, a, zero), (0, a, a),
+                                        (1, a, field.zero())]])[0].is_zero()
+    # weights cancelling to zero, and a difference of squares that cancels inside one sum
+    assert sums_of_products(field, 2, [[(3, a, y), (-1, a, y), (-2, y, a)]])[0].is_zero()
+    assert sums_of_products(field, 2, [[(1, a, a), (-1, x * half_t, x * half_t),
+                                        (-2, x * half_t, field.scalar(Fraction(1, 3))),
+                                        (-1, a - a + Fraction(1, 3), field.scalar(Fraction(1, 3)))]
+                                       ])[0].is_zero()
+    big = 10 ** 40 + 7
+    _check_sums(field, 2, [[(big, a, y), (-big + 1, a, y)], [(big, a, half_t), (1, y, a)]])
+    # pairs over very different denominators share one lcm
+    _check_sums(QQ, 1, [[(1, MultiPoly.constant(QQ, 1, Fraction(1, 6)), QQ.scalar(Fraction(1, 10))),
+                         (-1, MultiPoly.constant(QQ, 1, Fraction(1, 4)), QQ.scalar(Fraction(1, 15))),
+                         (5, MultiPoly.variable(QQ, 1, 0), QQ.scalar(Fraction(1, 7)))]])
+
+
+_PROPERTY_COORDS = st.fractions(min_value=-12, max_value=12, max_denominator=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_POWER_RINGS), st.data())
+def test_sums_of_products_match_the_loop_property(field, data):
+    coords = st.lists(_PROPERTY_COORDS, min_size=field.degree, max_size=field.degree)
+    terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 2), coords), max_size=4)
+    poly = terms.map(lambda items: MultiPoly.from_terms(
+        field, 2, [(e, field.element(c)) for e, c in items]))
+    operand = st.one_of(poly, coords.map(field.element))
+    weight = st.one_of(st.integers(-3, 3), st.integers(-10 ** 25, 10 ** 25))
+    sums = data.draw(st.lists(st.lists(st.tuples(weight, poly, operand), max_size=4),
+                              min_size=1, max_size=3))
+    _check_sums(field, 2, sums)
+
+
+def _det_by_loop(grid, field, nvars):
+    """Laplace expansion along the first row with the `acc = acc + a * b` loop."""
+    if len(grid) == 1:
+        return grid[0][0]
+    acc = MultiPoly.zero(field, nvars)
+    for j, e in enumerate(grid[0]):
+        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
+        acc = acc + _term_product(_term_product(e, _det_by_loop(minor, field, nvars)),
+                                  field.scalar((-1) ** j))
+    return acc
+
+
+def _random_sparse_matrix(rng, field, rows, cols, nvars):
+    return PolyMatrix([[MultiPoly.zero(field, nvars) if rng.random() < 0.3
+                        else _random_poly(rng, field, nvars) for _ in range(cols)]
+                       for _ in range(rows)])
+
+
+def test_determinant_matches_the_loop_fuzz():
+    rng = random.Random(6060)
+    for trial in range(60):
+        field = _POWER_RINGS[trial % len(_POWER_RINGS)]
+        n, nvars = rng.randint(1, 4), rng.randint(1, 2)
+        matrix = _random_sparse_matrix(rng, field, n, n, nvars)
+        if trial % 4 == 0 and n > 1:  # a repeated row: the determinant is zero
+            matrix = PolyMatrix(list(matrix.entries[:-1]) + [matrix.entries[0]])
+        got = matrix_det(matrix)
+        assert got.terms == _det_by_loop([list(r) for r in matrix.entries], field, nvars).terms
+        _check_canonical(got)
+
+
+def test_matrix_product_matches_the_loop_fuzz():
+    rng = random.Random(7070)
+    for trial in range(60):
+        field = _POWER_RINGS[trial % len(_POWER_RINGS)]
+        rows, inner, cols, nvars = (rng.randint(1, 3) for _ in range(4))
+        a = _random_sparse_matrix(rng, field, rows, inner, nvars)
+        b = _random_sparse_matrix(rng, field, inner, cols, nvars)
+        got = a @ b
+        for i in range(rows):
+            for j in range(cols):
+                want = _loop_sum(field, nvars, [(1, a.entries[i][k], b.entries[k][j])
+                                                for k in range(inner)])
+                assert got.entries[i][j].terms == want.terms
+                _check_canonical(got.entries[i][j])
+
+
+def _substitute_by_loop(poly, values, nvars):
+    """The old substitution: one product per variable power, one addition per monomial."""
+    acc = MultiPoly.zero(poly.field, nvars)
+    for exps, coeff in poly.terms.items():
+        term = MultiPoly.constant(poly.field, nvars, coeff)
+        for value, e in zip(values, exps):
+            for _ in range(e):
+                term = _term_product(term, value)
+        acc = acc + term
+    return acc
+
+
+def test_substitute_and_linear_combinations_match_the_loop_fuzz():
+    rng = random.Random(8080)
+    for trial in range(80):
+        field = _POWER_RINGS[trial % len(_POWER_RINGS)]
+        nvars, target = rng.randint(1, 3), rng.randint(1, 3)
+        poly = _random_poly(rng, field, nvars)
+        values = [_random_poly(rng, field, target) if rng.random() < 0.8
+                  else MultiPoly.zero(field, target) for _ in range(nvars)]
+        got = poly.substitute(values)
+        assert got.terms == _substitute_by_loop(poly, values, target).terms
+        _check_canonical(got)
+        grid = [[_random_element(rng, field) for _ in range(nvars)] for _ in range(target)]
+        got = linear_combinations(grid, values, MultiPoly.zero(field, target))
+        for row, comb in zip(grid, got):
+            assert comb.terms == _loop_sum(field, target, [(1, p, c)
+                                                           for c, p in zip(row, values)]).terms
+            _check_canonical(comb)
 
 
 # -- powers of affine forms ------------------------------------------------------

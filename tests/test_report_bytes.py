@@ -1,0 +1,54 @@
+"""Report bytes are pinned: `analyze --checks all` on six small maps.
+
+The sha256 of each report, and the exit code, were computed before the
+arithmetic kernels were merged into one sum-of-products kernel.  A change
+that alters witness bytes on purpose updates these pins and says so.
+"""
+
+import hashlib
+
+from kellerlab import cli, serialize
+from kellerlab.constructions import FamilySpec, make_family
+from kellerlab.polymap import PolyMatrix, conjugate
+
+# (family, degree, dimension, +-1 change of basis or None for the defining form)
+MAPS = {
+    "n4-d3": ("n4", 3, None, None),
+    "n5-d2": ("n5", 2, None, None),
+    "f666-d3": ("f666", 3, None, None),
+    "small3-d3": ("small3", 3, None, None),
+    "conj-n5-d2": ("n5", 2, None, [[-1, 0, -1, 0, 0], [0, 0, 0, 1, -1], [0, 1, 1, 0, 0],
+                                   [-1, 0, 0, 0, -1], [-1, -1, 0, 0, 0]]),
+    "conj-f667-d2-n4": ("f667", 2, 4, [[0, 0, 1, -1], [0, 0, 1, 1], [1, 0, 1, 0],
+                                       [1, 1, 0, 0]]),
+}
+
+PINNED = {
+    "n4-d3": (1, "c6d0efd5e5b288b51c5dde4f912f9f9a17ee8b881c0c864095be60c489f18c08"),
+    "n5-d2": (1, "ca7d2990ea42004a9dcd6ab70a6cab0b7f495411e3fbc19feead6c200ea48097"),
+    "f666-d3": (1, "8d2d8a58c3cb3d3a048e828c534b26e4aa28c22cc26c85a32010363644b62bf5"),
+    "small3-d3": (1, "c7692d1b9c2f4a3495d0f61b0959a12f35e937fc382a24ddf26d22e6e693dc99"),
+    "conj-n5-d2": (1, "a5f8c2cfcd33a990f9df0c21c1512d0f81744bb5b5a18d8d042dea31e11a94be"),
+    "conj-f667-d2-n4": (1, "4f7e7bcd703cee0e573c20a946d5e34ba3224b020209893694edd096722716cb"),
+}
+
+
+def analyze_all(tmp_path, name):
+    """(exit code, report bytes) of `analyze --checks all` on one of MAPS."""
+    kind, d, n, t = MAPS[name]
+    h = make_family(FamilySpec(kind, d, n=n))
+    if t is not None:
+        h = conjugate(h, PolyMatrix.from_scalars(h.field, h.nvars, t))
+    path, report = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
+    path.write_text(serialize.dumps(serialize.map_to_json(h)), encoding="utf-8")
+    code = cli.main(["analyze", str(path), "--checks", "all", "--report", str(report)])
+    return code, report.read_bytes()
+
+
+def test_reports_match_their_pins(tmp_path, capsys):
+    got = {}
+    for name in MAPS:
+        code, data = analyze_all(tmp_path, name)
+        got[name] = (code, hashlib.sha256(data).hexdigest())
+    capsys.readouterr()
+    assert got == PINNED
