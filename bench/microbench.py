@@ -42,7 +42,10 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
   change of basis of `quasi_test_q`, the `jc` check's determinant;
 - `change_basis_f666_d4`: the f666 family at d = 4 (n = 10) behind a dense
   +-1 change of basis T, taken back by change_basis(G, T^-1, T), as a
-  `jc_minus` inverse is.
+  `jc_minus` inverse is;
+- `report_dumps_f666_d5`: `serialize.dumps` of the `analyze --checks all`
+  report on the f666 family at d = 5 (n = 16), 1.1 MB of JSON, most of it the
+  `jc_minus` inverse.
 
 Prints one JSON object with the machine, the Python version, the repeat
 count and, per kernel, the calls per repeat and the best time per call.
@@ -61,7 +64,7 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from kellerlab import linalg, properties  # noqa: E402
+from kellerlab import linalg, properties, serialize  # noqa: E402
 from kellerlab.constructions import (FamilySpec, family_certificate, gz_example,  # noqa: E402
                                      make_family)
 from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
@@ -173,6 +176,8 @@ def kernels():
     f666_hidden = _hidden_family("f666", 4)
     f666_t = [[QQ.scalar(v) for v in row] for row in _HIDING["f666", 4, None]]
     f666_t_inv = linalg.invert(f666_t, QQ)
+    f666_d5_report = serialize.report_to_json(
+        properties.chain_report(plus_identity(make_family(FamilySpec("f666", 5)))))
     return [
         ("fraction_mul", lambda: fa * fb, 20000),
         ("scalar_mul_q", lambda: qa * qb, 20000),
@@ -195,6 +200,7 @@ def kernels():
         ("matrix_power_q", lambda: n5_jh.power(5), 10),
         ("sum_condition_det_q", lambda: matrix_det(n4_sum), 2),
         ("change_basis_f666_d4", lambda: change_basis(f666_hidden, f666_t_inv, f666_t), 2),
+        ("report_dumps_f666_d5", lambda: serialize.dumps(f666_d5_report), 2),
     ]
 
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from collections import Counter
+from functools import reduce
+from operator import add, mul
 
 from .exactfield import Field, Scalar
 
@@ -40,6 +42,7 @@ __all__ = [
     "extend_variables",
     "lift_to_field",
     "sums_of_products",
+    "substitute_all",
 ]
 
 _ZERO = Fraction(0)
@@ -105,6 +108,50 @@ def sums_of_products(field: Field, nvars: int, sums) -> list:
                                                   for c in coords))
         out.append(MultiPoly(field, nvars, terms))
     return out
+
+
+def substitute_all(polys, assignment, nvars: int | None = None) -> list:
+    """`polys`, from one ring, with each variable replaced by its MultiPoly or scalar
+    entry in `assignment`.  The target ring's nvars is that of the polynomial
+    entries, else ``nvars``, else the source ring's.  Each power of an entry, and
+    each monomial several of `polys` hold, is built once; one kernel call sums."""
+    if not polys:
+        return []
+    field, source = polys[0].field, polys[0].nvars
+    if any(p.field != field or p.nvars != source for p in polys):
+        raise ValueError("polynomials live in different rings")
+    if len(assignment) != source:
+        raise ValueError("assignment must cover all variables")
+    entries = [entry for entry in assignment if isinstance(entry, MultiPoly)]
+    if any(entry.field != field for entry in entries):
+        raise ValueError("substituted polynomial over a different field")
+    target_nvars = entries[0].nvars if entries else source if nvars is None else nvars
+    if any(entry.nvars != target_nvars for entry in entries) or nvars not in (None, target_nvars):
+        raise ValueError("substituted polynomials and nvars disagree on the target ring")
+
+    one = MultiPoly.constant(field, target_nvars, 1)
+    powers = [[one, entry if isinstance(entry, MultiPoly)
+               else MultiPoly.constant(field, target_nvars, entry)] for entry in assignment]
+
+    def power_of(i, k):
+        cache = powers[i]
+        while len(cache) <= k:
+            cache.append(cache[-1] * cache[1])
+        return cache[k]
+
+    counts, shared = Counter(e for p in polys for e in p.terms), {}
+
+    def pairs(poly):
+        for exps, coeff in poly.terms.items():
+            *head, last = [power_of(i, e) for i, e in enumerate(exps) if e] or [one]
+            if counts[exps] == 1:  # the last power is multiplied inside the sum, unstored
+                yield 1, last, reduce(mul, head, coeff)
+                continue
+            if exps not in shared:
+                shared[exps] = reduce(mul, head, last)
+            yield 1, shared[exps], coeff
+
+    return sums_of_products(field, target_nvars, [list(pairs(p)) for p in polys])
 
 
 def _coerce_coeff(field: Field, value) -> Scalar:
@@ -308,56 +355,12 @@ class MultiPoly:
                 continue
             new = list(exps)
             new[index] = e - 1
-            terms[tuple(new)] = coeff * e
+            terms[tuple(new)] = Scalar(self.field, tuple(c * e for c in coeff.coords))
         return MultiPoly(self.field, self.nvars, terms)
 
     def substitute(self, assignment, nvars: int | None = None) -> "MultiPoly":
-        """Substitute every variable; entries are MultiPoly or scalar values.
-
-        The target ring may have a different number of variables; it is taken
-        from the first polynomial entry, or from ``nvars`` when every entry
-        is a scalar.
-        """
-        if len(assignment) != self.nvars:
-            raise ValueError("assignment must cover all variables")
-        target_nvars = None
-        for entry in assignment:
-            if isinstance(entry, MultiPoly):
-                if entry.field != self.field:
-                    raise ValueError("substituted polynomial over a different field")
-                if target_nvars is None:
-                    target_nvars = entry.nvars
-                elif entry.nvars != target_nvars:
-                    raise ValueError("substituted polynomials disagree on nvars")
-        if target_nvars is None:
-            target_nvars = self.nvars if nvars is None else nvars
-        elif nvars is not None and nvars != target_nvars:
-            raise ValueError("nvars conflicts with substituted polynomials")
-
-        values = [entry if isinstance(entry, MultiPoly)
-                  else MultiPoly.constant(self.field, target_nvars, entry) for entry in assignment]
-
-        one = MultiPoly.constant(self.field, target_nvars, 1)
-        powers = [{0: one} for _ in range(self.nvars)]
-
-        def power_of(i, k):
-            cache = powers[i]
-            if k not in cache:
-                top = max(cache)
-                acc = cache[top]
-                for j in range(top + 1, k + 1):
-                    acc = acc * values[i]
-                    cache[j] = acc
-            return cache[k]
-
-        # the last power of each monomial is multiplied inside the sum
-        pairs = []
-        for exps, coeff in self.terms.items():
-            *head, last = [power_of(i, e) for i, e in enumerate(exps) if e] or [one]
-            for factor in head:
-                coeff = factor * coeff
-            pairs.append((1, last, coeff))
-        return sums_of_products(self.field, target_nvars, [pairs])[0]
+        """Substitute every variable; see `substitute_all`."""
+        return substitute_all([self], assignment, nvars)[0]
 
     def evaluate(self, point) -> Scalar:
         """Exact value at a point of scalars."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import linalg
 from .exactfield import Field
-from .multipoly import MultiPoly, divide_exact, sums_of_products, variables
+from .multipoly import MultiPoly, divide_exact, substitute_all, sums_of_products, variables
 
 __all__ = [
     "PolyMap",
@@ -75,7 +75,7 @@ class PolyMap:
         return all(c.constant_term().is_zero() for c in self.components)
 
     def evaluate(self, point):
-        return tuple(c.evaluate(point) for c in self.components)
+        return tuple(c.constant_term() for c in substitute_all(self.components, point, nvars=0))
 
     def __add__(self, other):
         if not isinstance(other, PolyMap):
@@ -217,8 +217,8 @@ class PolyMatrix:
         return result
 
     def substitute(self, assignment, nvars: int | None = None) -> "PolyMatrix":
-        return PolyMatrix([[e.substitute(assignment, nvars=nvars) for e in row]
-                           for row in self.entries])
+        out = substitute_all([e for row in self.entries for e in row], assignment, nvars)
+        return PolyMatrix([out[i:i + self.cols] for i in range(0, len(out), self.cols)])
 
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(e) for e in row] for row in self.entries])
@@ -277,8 +277,7 @@ def map_compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
         raise ValueError("component count of the inner map must match")
     if inner.field != outer.field:
         raise ValueError("maps live over different fields")
-    comps = [c.substitute(inner.components, nvars=inner.nvars) for c in outer.components]
-    return PolyMap(comps)
+    return PolyMap(substitute_all(outer.components, inner.components, nvars=inner.nvars))
 
 
 def change_basis(map_: PolyMap, inner, outer) -> PolyMap:
@@ -291,8 +290,7 @@ def change_basis(map_: PolyMap, inner, outer) -> PolyMap:
     field, n = map_.field, map_.nvars
     zero = MultiPoly.zero(field, n)
     linear = linear_combinations(inner, variables(field, n), zero)
-    images = [c.substitute(linear) for c in map_.components]
-    return PolyMap(linear_combinations(outer, images, zero))
+    return PolyMap(linear_combinations(outer, substitute_all(map_.components, linear), zero))
 
 
 def conjugation_grids(t_matrix: PolyMatrix, field: Field, n: int):
@@ -427,16 +425,21 @@ def homogenize(map_: PolyMap, d: int) -> PolyMap:
 def invert_triangular(map_: PolyMap) -> PolyMap:
     """Exact inverse of F = x + H with strictly lower triangular JH.
 
-    Forward substitution: G_i = x_i - H_i(G_1, ..., G_{i-1}), which works
-    because H_i only involves earlier variables.
+    Forward substitution in batches: G = (x - H)(a), where a_j = G_j once
+    component j is solved and a_j = x_j before.  Component i is ready when
+    every variable of H_i is solved, and all ready components are substituted
+    at once; strict triangularity makes the lowest unsolved one ready.
     """
     h = nonlinear_part(map_)
     if not jacobian(h).is_lower_triangular(strict=True):
         raise ValueError("nonlinear part has no strictly lower triangular Jacobian")
-    field, n = map_.field, map_.nvars
-    xs = [MultiPoly.variable(field, n, i) for i in range(n)]
-    out = []
-    for i in range(n):
-        assignment = out[:i] + xs[i:]
-        out.append(xs[i] - h.components[i].substitute(assignment))
+    n, xs = map_.nvars, variables(map_.field, map_.nvars)
+    minus = [x - c for x, c in zip(xs, h.components)]
+    used = [{i for e in c.terms for i, k in enumerate(e) if k} for c in h.components]
+    out, solved = list(xs), set()
+    for _ in range(n):  # n batches at most: each solves at least the lowest unsolved one
+        ready = [i for i in range(n) if i not in solved and used[i] <= solved]
+        for i, g in zip(ready, substitute_all([minus[i] for i in ready], out)):
+            out[i] = g
+        solved.update(ready)
     return PolyMap(out)

@@ -252,10 +252,11 @@ def verify_sum_witness(map_: PolyMap, field: Field, points) -> bool:
 
 def _sum_vanishes_at(jf: PolyMatrix, field: Field, points) -> bool:
     """Is the sum of JF at the points, a scalar matrix over `field`, singular?"""
+    lifted = jf.map_entries(lambda e: lift_to_field(e, field))
     total = [[field.zero()] * jf.cols for _ in range(jf.rows)]
     for point in points:
-        total = [[acc + lift_to_field(e, field).evaluate(point) for acc, e in zip(sums, row)]
-                 for sums, row in zip(total, jf.entries)]
+        total = [[acc + e.constant_term() for acc, e in zip(sums, row)]
+                 for sums, row in zip(total, lifted.substitute(point, nvars=0).entries)]
     return linalg.rank(total) < jf.rows
 
 

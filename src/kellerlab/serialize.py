@@ -9,7 +9,7 @@ irreducible (`field_from_json`); the library's `Field` has neither bound.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .exactfield import Field, Scalar, is_cyclotomic_or_eisenstein, rational_roots
 from .multipoly import LinearForm, MultiPoly
@@ -184,4 +184,37 @@ def report_to_json(report: PropertyReport) -> dict:
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n", written directly: with
+    an indent, `json` never uses its C encoder.  Takes dicts with str keys, lists,
+    str, int, bool and None; any other type raises TypeError."""
+    out = []
+    _write(payload, "\n", out.append)
+    return "".join(out) + "\n"
+
+
+def _write(value, newline, emit):
+    """Emit `value`; `newline` is a line break plus the indent of its first line."""
+    inner = newline + "  "
+    if isinstance(value, str):
+        emit(_quote(value))
+    elif value is None or isinstance(value, bool):
+        emit("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif not isinstance(value, (dict, list)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        emit("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        for sep, (key, item) in zip(["{"] + [","] * len(value), sorted(value.items())):
+            emit(sep + inner + _quote(key) + ": ")
+            _write(item, inner, emit)
+        emit(newline + "}")
+    elif set(map(type, value)) in ({str}, {int}):  # a flat list, in one join
+        text = map(_quote if type(value[0]) is str else int.__repr__, value)
+        emit("[" + inner + ("," + inner).join(text) + newline + "]")
+    else:
+        for sep, item in zip(["["] + [","] * len(value), value):
+            emit(sep + inner)
+            _write(item, inner, emit)
+        emit(newline + "]")

@@ -22,7 +22,8 @@ def test_every_microbench_kernel_runs_once():
             "matrix_det_q", "strong_nilpotence_flag_q", "strong_nilpotence_flag_zeta3",
             "quasi_test_q", "linear_form_power_zeta5", "is_pure_power_q",
             "orthogonality_f666_d6", "matrix_rank_q", "invert_triangular_q",
-            "matrix_power_q", "sum_condition_det_q", "change_basis_f666_d4"} <= set(names)
+            "matrix_power_q", "sum_condition_det_q", "change_basis_f666_d4",
+            "report_dumps_f666_d5"} <= set(names)
     for name, call, number in kernels:
         assert number >= 1, name
         call()

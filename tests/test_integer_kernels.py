@@ -1,7 +1,9 @@
 """The integer kernels against the scalar code they replaced.
 
 The sum-of-products kernel and the loops it replaced in determinants, matrix
-products, substitution and linear combinations; powers of affine forms (the
+products, substitution and linear combinations; substitution of many
+polynomials under one assignment and the batched triangular inverse;
+partial derivatives on coordinates; powers of affine forms (the
 multinomial expansion in `MultiPoly.__pow__`), `is_pure_power` by one
 expansion, the orthogonality test on numerators, the component-span generator
 and the strong-nilpotence word re-check.
@@ -19,9 +21,9 @@ from kellerlab import cli, linalg
 from kellerlab.constructions import FamilySpec, family_certificate, make_family
 from kellerlab.exactfield import QQ, Field, cyclotomic
 from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact, is_pure_power,
-                                 sums_of_products)
-from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, jacobian, linear_combinations,
-                               matrix_det)
+                                 substitute_all, sums_of_products)
+from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, invert_triangular, jacobian,
+                               linear_combinations, map_compose, matrix_det, plus_identity)
 from kellerlab.properties import (StarCertificate, _orthogonality_failure, _span_generator,
                                   _strong_nilpotence_flag, certificate_failure)
 
@@ -238,6 +240,113 @@ def test_substitute_and_linear_combinations_match_the_loop_fuzz():
             assert comb.terms == _loop_sum(field, target, [(1, p, c)
                                                            for c, p in zip(row, values)]).terms
             _check_canonical(comb)
+
+
+# -- many polynomials under one assignment ---------------------------------------
+
+def _random_batch(rng, field, nvars):
+    """Polynomials drawing most monomials from one small pool, some of them zero."""
+    pool = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 4))]
+    batch = []
+    for _ in range(rng.randint(1, 5)):
+        items = [(rng.choice(pool) if rng.random() < 0.7
+                  else tuple(rng.randint(0, 3) for _ in range(nvars)),
+                  _random_element(rng, field, 0)) for _ in range(rng.randint(0, 5))]
+        batch.append(MultiPoly.from_terms(field, nvars, items))
+    return batch
+
+
+def test_substitute_all_matches_the_loop_fuzz():
+    rng = random.Random(9191)
+    for trial in range(200):
+        field = _POWER_RINGS[trial % len(_POWER_RINGS)]
+        nvars = rng.randint(0, 3)
+        batch = _random_batch(rng, field, nvars)
+        if trial % 3 == 0:  # a point of scalars, some zero, into the ring with no variables
+            target, point = 0, [_random_element(rng, field) for _ in range(nvars)]
+            got = substitute_all(batch, point, nvars=0)
+            values = [MultiPoly.constant(field, 0, v) for v in point]
+        else:
+            target = rng.randint(1, 3)
+            values = [_random_poly(rng, field, target) if rng.random() < 0.8
+                      else MultiPoly.zero(field, target) for _ in range(nvars)]
+            got = substitute_all(batch, values, nvars=target if not values else None)
+        assert len(got) == len(batch)
+        for poly, image in zip(batch, got):
+            assert image.nvars == target
+            assert image.terms == _substitute_by_loop(poly, values, target).terms
+            assert image == poly.substitute(values, nvars=target)
+            _check_canonical(image)
+
+
+def test_substitute_all_checks_its_rings():
+    x, y = (MultiPoly.variable(QQ, 2, i) for i in range(2))
+    assert substitute_all([], [x, y]) == []
+    with pytest.raises(ValueError, match="different rings"):
+        substitute_all([x, MultiPoly.variable(QQ, 1, 0)], [x, y])
+    with pytest.raises(ValueError, match="cover all variables"):
+        substitute_all([x, y], [x])
+
+
+def _invert_by_loop(f_map):
+    """The sequential forward substitution G_i = x_i - H_i(G_1, ..., G_{i-1}, x_i, ...)."""
+    field, n = f_map.field, f_map.nvars
+    xs = [MultiPoly.variable(field, n, i) for i in range(n)]
+    out = []
+    for i in range(n):
+        h_i = f_map.components[i] - xs[i]
+        out.append(xs[i] - _substitute_by_loop(h_i, out + xs[i:], n))
+    return PolyMap(out)
+
+
+def _random_triangular(rng, field, n, shape):
+    """x + H with H_i in earlier variables: a chain (H_i holds x_{i-1}), components
+    that share the first two variables, or random supports; some H_i are zero."""
+    comps = []
+    for i in range(n):
+        if shape == "chain":
+            allowed, needed = [i - 1] if i else [], i - 1
+        elif shape == "shared":
+            allowed, needed = [j for j in (0, 1) if j < i], None
+        else:
+            allowed, needed = rng.sample(range(i), rng.randint(0, i)), None
+        items = [(tuple(rng.randint(j == needed, 2) if j in allowed else 0 for j in range(n)),
+                  _random_element(rng, field, 0))
+                 for _ in range(0 if shape != "chain" and rng.random() < 0.2 else rng.randint(1, 3))]
+        comps.append(MultiPoly.from_terms(field, n, items))
+    return plus_identity(PolyMap(comps))
+
+
+def test_invert_triangular_matches_the_sequential_loop_fuzz():
+    rng = random.Random(2121)
+    for trial in range(90):
+        field = _POWER_RINGS[trial % len(_POWER_RINGS)]
+        shape = ("chain", "shared", "random")[trial % 3]
+        f_map = _random_triangular(rng, field, rng.randint(1, 4 if shape == "chain" else 5), shape)
+        got = invert_triangular(f_map)
+        assert got == _invert_by_loop(f_map)
+        assert map_compose(f_map, got) == PolyMap.identity(field, f_map.nvars)
+        for comp in got.components:
+            _check_canonical(comp)
+
+
+# -- partial derivatives on coordinates ----------------------------------------------
+
+def test_partial_derivative_matches_scalar_products_fuzz():
+    rng = random.Random(3131)
+    for trial in range(100):
+        field = _POWER_RINGS[trial % len(_POWER_RINGS)]
+        nvars = rng.randint(1, 3)
+        poly = _random_poly(rng, field, nvars)
+        for index in range(nvars):
+            got = poly.partial_derivative(index)
+            want = {}
+            for exps, coeff in poly.terms.items():
+                if exps[index]:
+                    lowered = exps[:index] + (exps[index] - 1,) + exps[index + 1:]
+                    want[lowered] = coeff * exps[index]
+            assert got.terms == want
+            _check_canonical(got)
 
 
 # -- powers of affine forms ------------------------------------------------------

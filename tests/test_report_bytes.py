@@ -1,8 +1,11 @@
-"""Report bytes are pinned: `analyze --checks all` on six small maps.
+"""Report bytes are pinned: `analyze --checks all` on six small maps and on
+the defining f666 d=5 and f667 d=4, whose `jc_minus` inverses are large.
 
-The sha256 of each report, and the exit code, were computed before the
-arithmetic kernels were merged into one sum-of-products kernel.  A change
-that alters witness bytes on purpose updates these pins and says so.
+The sha256 of each small report, and the exit code, were computed before the
+arithmetic kernels were merged into one sum-of-products kernel; the two large
+ones before the inverse was built in batches and reports were written without
+`json`.  A change that alters witness bytes on purpose updates these pins and
+says so.
 """
 
 import hashlib
@@ -21,6 +24,8 @@ MAPS = {
                                    [-1, 0, 0, 0, -1], [-1, -1, 0, 0, 0]]),
     "conj-f667-d2-n4": ("f667", 2, 4, [[0, 0, 1, -1], [0, 0, 1, 1], [1, 0, 1, 0],
                                        [1, 1, 0, 0]]),
+    "f666-d5": ("f666", 5, None, None),
+    "f667-d4": ("f667", 4, None, None),
 }
 
 PINNED = {
@@ -30,6 +35,8 @@ PINNED = {
     "small3-d3": (1, "c7692d1b9c2f4a3495d0f61b0959a12f35e937fc382a24ddf26d22e6e693dc99"),
     "conj-n5-d2": (1, "a5f8c2cfcd33a990f9df0c21c1512d0f81744bb5b5a18d8d042dea31e11a94be"),
     "conj-f667-d2-n4": (1, "4f7e7bcd703cee0e573c20a946d5e34ba3224b020209893694edd096722716cb"),
+    "f666-d5": (1, "58eca9f03b1671062c1ba9b53656ddd92dfca656b46184e060dd697f917545e8"),
+    "f667-d4": (1, "5b12dee84ef9aefbbf23dea118852b2d017f89b7713563ef5b7586b278c146e7"),
 }
 
 

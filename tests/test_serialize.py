@@ -220,3 +220,51 @@ def test_certificate_from_json_rejects_non_integer_power(value):
     data["triples"][0]["d"] = value
     with pytest.raises(ValueError):
         serialize.certificate_from_json(json.loads(json.dumps(data)), QQ)
+
+
+# -- the report writer against json ---------------------------------------------
+
+def _by_json(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_TEXT = st.one_of(st.text(max_size=6),
+                  st.sampled_from(['"', "\\", "\x00\x1f\x7f", "café", " ", "\U0001f600"]))
+_BIG = st.integers(10 ** 49, 10 ** 50 - 1)  # 50 digits
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), _BIG, _BIG.map(lambda v: -v), _TEXT)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(_TEXT, max_size=3),
+                            st.lists(st.integers(), max_size=3),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_dumps_matches_json_property(payload):
+    assert serialize.dumps(payload) == _by_json(payload)
+
+
+def test_dumps_matches_json_on_families_maps_and_certificates():
+    grid = ([("n4", d) for d in range(3, 7)] + [("n5", d) for d in range(2, 6)]
+            + [(kind, d) for kind in ("f666", "f667") for d in range(2, 6)]
+            + [("nonhomog_n4", 3), ("nonhomog_n4", 5), ("nonhomog_n5", 2),
+               ("nonhomog_n5", 4), ("small2", 3), ("small3", 3)])
+    for kind, d in grid:
+        h = make_family(FamilySpec(kind, d))
+        for payload in (serialize.map_to_json(h),
+                        serialize.report_to_json(chain_report(plus_identity(h)))):
+            assert serialize.dumps(payload) == _by_json(payload), (kind, d)
+    specs = ([FamilySpec("f666", d, nu=Fraction(nu)) for d in range(2, 7) for nu in (1, 0)]
+             + [FamilySpec("f667", d) for d in range(2, 7)]
+             + [FamilySpec("small2", 3), FamilySpec("small3", 3)])
+    for spec in specs:
+        payload = serialize.certificate_to_json(family_certificate(spec))
+        assert serialize.dumps(payload) == _by_json(payload), spec
+
+
+@pytest.mark.parametrize("payload", [1.5, {"a": [1, 2.0]}, [(1, 2)], {"a": {1, 2}}, {1: "a"}])
+def test_dumps_rejects_what_the_schemas_do_not_emit(payload):
+    with pytest.raises(TypeError):
+        serialize.dumps(payload)
