@@ -40,6 +40,13 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
 - `sum_condition_det_q`: the determinant of JF summed at 2 tuples of fresh
   indeterminates (12 variables) for the n4 family at d = 3 behind the
   change of basis of `quasi_test_q`, the `jc` check's determinant;
+- `sum_condition_conj_n4_d3`: the `jc` decision (`properties._sum_condition`
+  at 2 points) for the map of `quasi_test_q`, which fails with a point witness;
+- `adapted_basis_f666_d4`: the flag's basis routine `properties._adapted_basis`
+  on the b vectors of the f666 certificate at d = 4 (n = 10) moved by the
+  inverse of the change of basis of `change_basis_f666_d4` (b -> T^-1 b),
+  last first, as integer vectors, the way `triangularization_from_certificate`
+  feeds it;
 - `change_basis_f666_d4`: the f666 family at d = 4 (n = 10) behind a dense
   +-1 change of basis T, taken back by change_basis(G, T^-1, T), as a
   `jc_minus` inverse is;
@@ -68,8 +75,8 @@ from kellerlab import linalg, properties, serialize  # noqa: E402
 from kellerlab.constructions import (FamilySpec, family_certificate, gz_example,  # noqa: E402
                                      make_family)
 from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
-from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact, is_pure_power,  # noqa: E402
-                                 variables)
+from kellerlab.multipoly import (LinearForm, MultiPoly, _numerators, divide_exact,  # noqa: E402
+                                 is_pure_power, variables)
 from kellerlab.polymap import (PolyMatrix, change_basis, conjugate,  # noqa: E402
                                invert_triangular, jacobian, linear_combinations, matrix_det,
                                matrix_rank, plus_identity)
@@ -176,6 +183,9 @@ def kernels():
     f666_hidden = _hidden_family("f666", 4)
     f666_t = [[QQ.scalar(v) for v in row] for row in _HIDING["f666", 4, None]]
     f666_t_inv = linalg.invert(f666_t, QQ)
+    n4_jf = jacobian(n4_f)
+    f666_chain = [_numerators(linear_combinations(f666_t_inv, b, QQ.zero()))
+                  for _, _, b in reversed(family_certificate(FamilySpec("f666", 4)).triples)]
     f666_d5_report = serialize.report_to_json(
         properties.chain_report(plus_identity(make_family(FamilySpec("f666", 5)))))
     return [
@@ -199,6 +209,8 @@ def kernels():
         ("invert_triangular_q", lambda: invert_triangular(f666_f), 5),
         ("matrix_power_q", lambda: n5_jh.power(5), 10),
         ("sum_condition_det_q", lambda: matrix_det(n4_sum), 2),
+        ("sum_condition_conj_n4_d3", lambda: properties._sum_condition(n4_jf, 2, "jc"), 5),
+        ("adapted_basis_f666_d4", lambda: properties._adapted_basis(f666_chain, QQ, 10), 20),
         ("change_basis_f666_d4", lambda: change_basis(f666_hidden, f666_t_inv, f666_t), 2),
         ("report_dumps_f666_d5", lambda: serialize.dumps(f666_d5_report), 2),
     ]

@@ -14,7 +14,8 @@ table entries (every cyclotomic m) are stored as int, so folding a product
 of integers, as `multipoly` does, stays in integers; a non-integral m folds
 in Fractions through the same code.  Over Q (m = t, one coordinate) there
 is nothing to fold and the product is one coordinate product (`Field.times`
-on bare lists).  Inverses use the extended Euclidean algorithm.
+on bare lists).  Inverses use the extended Euclidean algorithm, except over
+Q, where the inverse of c is 1/c.
 
 Reducible minimal polynomials are accepted by the library (the quotient is
 then only a ring), and division raises when the divisor is not invertible
@@ -113,7 +114,7 @@ def _uxgcd(a, b):
 class Field:
     """Q[t]/(m(t)) for a monic rational m(t); degree one is plain Q."""
 
-    __slots__ = ("min_poly", "fold")
+    __slots__ = ("min_poly", "fold", "_zero", "_one")
 
     def __init__(self, min_poly):
         coeffs = tuple(as_fraction(c) for c in min_poly)
@@ -125,6 +126,8 @@ class Field:
         # t^deg = sum of -m_i t^i over the nonzero m_i, integral ones as int
         self.fold = tuple((i, int(-c) if c.denominator == 1 else -c)
                           for i, c in enumerate(coeffs[:-1]) if c)
+        # one shared zero and one per field; coords are tuples, so nothing mutates them
+        self._zero, self._one = self.scalar(0), self.scalar(1)
 
     @property
     def degree(self) -> int:
@@ -174,10 +177,10 @@ class Field:
         return Scalar(self, tuple(cs))
 
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return self._one
 
     def generator(self) -> "Scalar":
         """The residue class of t; for degree one this is -m(0)."""
@@ -265,6 +268,8 @@ class Scalar:
         rep = _trim(list(self.coords))
         if not rep:
             raise ZeroDivisionError("not invertible modulo min_poly: zero")
+        if self.field.degree == 1:
+            return Scalar(self.field, (Fraction(1) / rep[0],))
         g, s, _ = _uxgcd(rep, list(self.field.min_poly))
         if len(g) != 1:
             raise ZeroDivisionError("not invertible modulo min_poly")
@@ -376,10 +381,12 @@ def rational_roots(coeffs):
     lead_divisors = _divisors(abs(lead))
     for p in _divisors(abs(const)):
         for q in lead_divisors:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = sum(c * cand ** e for e, c in ints.items())
-                if val == 0:
-                    roots.add(cand)
+            # p/q is a root when q^deg f(p/q) = sum_e c_e p^e q^(deg - e) is 0; a
+            # non-reduced p/q repeats a reduced candidate
+            if math.gcd(p, q) == 1:
+                for sign in (1, -1):
+                    if not sum(c * (sign * p) ** e * q ** (deg - e) for e, c in ints.items()):
+                        roots.add(Fraction(sign * p, q))
     return sorted(roots)
 
 

@@ -198,7 +198,9 @@ class MultiPoly:
             exps = tuple(exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError("bad exponent vector")
-            c = terms.get(exps, field.zero()) + _coerce_coeff(field, coeff)
+            c = _coerce_coeff(field, coeff)
+            if exps in terms:
+                c = terms[exps] + c
             if c.is_zero():
                 terms.pop(exps, None)
             else:

@@ -18,10 +18,20 @@ W_{k+1} = sum_m A_m W_k reaches 0 exactly when H is strongly nilpotent; a
 basis adapted to it is a T with T^{-1} H(Tx) strictly triangular, and
 otherwise a nonzero word of n matrices A_m is the witness.  The flag runs
 on integer numerators over one denominator per vector, and a level stops
-once it is as large as the level before, since W_{k+1} lies in W_k.  When
-the flag holds, the rest of the chain follows from it: keller, nilpotent,
-JC and JC+ hold, and JC- holds by inverting T^{-1} F(Tx).  Maps that fail
-it go through symbolic determinants and nilpotency.  (**) and (***) are
+once it is as large as the level before, since W_{k+1} lies in W_k; its
+adapted basis is picked on the same integer echelon.  When the flag holds,
+keller, nilpotent, JC and JC+ hold, and JC- holds by inverting T^{-1} F(Tx).
+
+Otherwise keller and nilpotent hold when x + H is a quasi-translation (below),
+and go through det JF and JH^n when it is not.  JC and JC+ write
+JF = sum_m x^m B_m: the sum of JF at count points v_k is G(p(v)) for
+G(lam) = count B_0 + sum_{m != 0} lam_m B_m and p_m(v) = sum_k v_k^m, so a
+nonzero constant det G proves holds, since its value is the summed
+determinant's (a nilpotent span of the A_m, Gerstenhaber, Amer. J. Math. 80,
+1958, gives count^n); a non-constant one proves nothing.  Failure is then
+sought at point patterns whose summed JF is univariate, in the order of
+`_point_witness`, and the determinant in n + count n variables is expanded
+last, for the witness when no pattern gives one.  (**) and (***) are
 verified via explicit certificates; their failure is asserted only by two
 sound desk-scale oracles (single-term matching in dimension 2, and the
 one-dimensional component-span argument, whose generator is the first
@@ -35,7 +45,9 @@ x + H is a quasi-translation, H(x - H) = H, exactly when JH H = 0 (de
 Bondt, Proc. AMS 134, 2006).  If JH H = 0, H is constant along the flow of
 the vector field H, so that flow is x + tH and H(x + tH) = H, in any
 Q-algebra; put t = -1.  By the converse, when JH H != 0 some component of
-H(x - H) - H is nonzero, and the first one is the failure witness.
+H(x - H) - H is nonzero, and the first one is the failure witness.  As tH
+also has J(tH) tH = 0, x - tH inverts x + tH over K[t]: det(I + t JH) is a
+unit of K[t][x], so 1, its value at t = 0.  So det JF = 1 and JH is nilpotent.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 
 from . import linalg
@@ -186,33 +198,48 @@ def _univariate_rational_roots(poly: MultiPoly):
     return rational_roots(dense)
 
 
-def _point_witness(jf: PolyMatrix, det: MultiPoly, count: int):
+def _generic_sum(jf: PolyMatrix, count: int) -> PolyMatrix:
+    """G(lam) = count B_0 + sum_{m != 0} lam_m B_m for JF = sum_m x^m B_m, one lam
+    per distinct nonconstant monomial m of JF."""
+    monomials = sorted({m for row in jf.entries for e in row for m in e.terms if any(m)})
+    lam = {m: tuple(int(m == k) for k in monomials) for m in monomials}
+    lam[(0,) * jf.nvars] = (0,) * len(monomials)
+    return jf.map_entries(lambda e: MultiPoly(e.field, len(monomials), {
+        lam[m]: c if any(m) else c * count for m, c in e.terms.items()}))
+
+
+def _pattern_sum(jf: PolyMatrix, count: int, m: int, j: int) -> PolyMatrix:
+    """(count - 1) JF(e_m) + JF(e_m + s e_j), univariate in s: JF summed at the
+    points of the pattern (m, j) of `_point_witness`."""
+    others = [i for i in range(jf.nvars) if i not in (m, j)]
+    return jf.map_entries(lambda e: MultiPoly.from_terms(e.field, 1, [
+        ((exps[j],), c if exps[j] else c * count)
+        for exps, c in e.terms.items() if not any(exps[i] for i in others)]))
+
+
+def _point_witness(jf: PolyMatrix, count: int, full_det):
     """Search for concrete points where the summed-Jacobian determinant is 0.
 
     Pattern: repeat a unit point e_m and perturb the last point to
-    e_m + s e_j for a single coordinate s; the restricted determinant is
-    univariate in s.  A rational root gives a base-field witness; a rootless
-    quadratic gives a witness in the corresponding quadratic extension.
+    e_m + s e_j for a single coordinate s; the determinant of the matrix
+    summed at those points (`_pattern_sum`) is the full determinant
+    restricted, univariate in s.  A rational root gives a base-field witness;
+    a rootless quadratic gives a witness in the corresponding quadratic
+    extension.  Only a restriction that vanishes identically, or no witness
+    (and every field but Q), calls `full_det`: an identically zero
+    determinant is witnessed by zero points instead.
     """
     n = jf.nvars
     field = jf.field
-    total = n + count * n
-    if det.is_zero():
-        zero = field.zero()
-        return field, [[zero] * n for _ in range(count)]
-    if not field.is_rational:
-        return None
-    for m in range(n):
+    zeros = field, [[field.zero()] * n for _ in range(count)]
+    for m in range(n if field.is_rational else 0):
         for j in range(n):
             if j == m:
                 continue
-            # coordinates: originals 0, points e_m, last point e_m + s e_j
-            values = [MultiPoly.zero(field, 1)] * total
-            for b in range(count):
-                values[n + b * n + m] = MultiPoly.constant(field, 1, 1)
-            values[total - n + j] = MultiPoly.variable(field, 1, 0)
-            restricted = det.substitute(values)
+            restricted = matrix_det(_pattern_sum(jf, count, m, j))
             if restricted.is_zero():
+                if full_det().is_zero():
+                    return zeros
                 roots = [Fraction(0)]
             elif restricted.is_constant():
                 continue
@@ -231,7 +258,7 @@ def _point_witness(jf: PolyMatrix, det: MultiPoly, count: int):
                 ext = Field([c0 / c2, c1 / c2, 1])
                 s_value = ext.generator()
                 return ext, _pattern_points(ext, n, count, m, j, s_value)
-    return None
+    return zeros if full_det().is_zero() else None
 
 
 def _pattern_points(field: Field, n: int, count: int, m: int, j: int, s_value: Scalar):
@@ -275,19 +302,24 @@ def check_sum_condition(map_: PolyMap, count: int, label: str = "sum_condition")
 
 
 def _sum_condition(jf: PolyMatrix, count: int, label: str) -> PropertyReport:
-    det = matrix_det(_fresh_copies(jf, count, operator.add))
+    """det G (`_generic_sum`) for holds, then the point patterns for fails; the
+    determinant in n + count n variables is built once, when asked for."""
     report = PropertyReport()
+    full_det = cache(lambda: matrix_det(_fresh_copies(jf, count, operator.add)))
+    det = matrix_det(_generic_sum(jf, count))
+    if not det.is_constant() or det.is_zero():
+        found = _point_witness(jf, count, full_det)
+        if found is not None:
+            field, points = found
+            if not _sum_vanishes_at(jf, field, points):
+                raise ArithmeticError("witness points failed re-verification")
+            witness = {"kind": "points", "field": field, "points": points}
+            return report.record(label, FAILS, witness=witness,
+                                 note="determinant vanishes at the witness points")
+        det = full_det()
     if det.is_constant() and not det.is_zero():
         return report.record(label, HOLDS,
                              note=f"determinant is the constant {det.constant_value()!r}")
-    found = _point_witness(jf, det, count)
-    if found is not None:
-        field, points = found
-        if not _sum_vanishes_at(jf, field, points):
-            raise ArithmeticError("witness points failed re-verification")
-        witness = {"kind": "points", "field": field, "points": points}
-        return report.record(label, FAILS, witness=witness,
-                             note="determinant vanishes at the witness points")
     witness = {"kind": "symbolic_determinant", "determinant": det}
     return report.record(label, FAILS, witness=witness,
                          note="determinant is not a nonzero constant")
@@ -381,9 +413,8 @@ def _scalars(field: Field, vec):
     return [Scalar(field, tuple(Fraction(c, den) for c in e)) for e in coords]
 
 
-def _pivots(vectors) -> list:
-    """Indices of the first maximal linearly independent subset of `vectors`."""
-    return linalg.rref([list(row) for row in zip(*vectors)])[1]
+def _unit_vectors(field: Field, n: int) -> list:
+    return [(1, [[int(i == j)] + [0] * (field.degree - 1) for i in range(n)]) for j in range(n)]
 
 
 def _strong_nilpotence_flag(jac: PolyMatrix):
@@ -406,8 +437,7 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
         return PolyMatrix.identity(field, n, n), None
     zero = field.zero()
     mats = _coefficient_matrices(jac)
-    levels = [[((), j, (1, [[int(i == j)] + [0] * (field.degree - 1) for i in range(n)]))
-               for j in range(n)]]
+    levels = [[((), j, unit) for j, unit in enumerate(_unit_vectors(field, n))]]
     for _ in range(n):
         images = (((m,) + word, j, _image(field, mat, v))
                   for word, j, v in levels[-1] for m, mat in mats.items())
@@ -418,8 +448,7 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
                 if len(level) == len(levels[-1]):
                     break
         if not level:
-            deepest_first = [_scalars(field, v) for step in reversed(levels[1:])
-                             for _, _, v in step]
+            deepest_first = [v for step in reversed(levels[1:]) for _, _, v in step]
             return _adapted_basis(deepest_first, field, n), None
         levels.append(level)
     word, j, (den, image) = levels[-1][0]
@@ -440,12 +469,16 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
 def _adapted_basis(chain, field: Field, n: int) -> PolyMatrix:
     """An invertible T whose last columns span chain[:k] for every k.
 
-    One pivot pass over `chain`, then the unit vectors; the columns of T are
-    the picked unit vectors, ascending, then the picked chain vectors in reverse."""
-    vectors = chain + linalg.identity_grid(field, n)
-    picked = _pivots(vectors)
-    cols = ([vectors[p] for p in picked if p >= len(chain)]
-            + [vectors[p] for p in reversed(picked) if p < len(chain)])
+    `chain` holds (den, integer coordinates) vectors.  The chain vectors, then
+    the unit vectors, are picked in order when independent of those picked
+    before (`_extends`); the columns of T are the picked unit vectors,
+    ascending, then the picked chain vectors in reverse."""
+    vectors, basis, picked = chain + _unit_vectors(field, n), [], []
+    for k, (_, coords) in enumerate(vectors):
+        if len(picked) < n and _extends(field, basis, coords):
+            picked.append(k)
+    cols = [_scalars(field, vectors[p]) for p in picked if p >= len(chain)] + \
+        [_scalars(field, vectors[p]) for p in reversed(picked) if p < len(chain)]
     return PolyMatrix.from_scalars(field, n, [[cols[j][i] for j in range(n)] for i in range(n)])
 
 
@@ -612,7 +645,7 @@ def triangularization_from_certificate(cert: StarCertificate, n: int,
     violated = _orthogonality_failure(cert)
     if violated is not None:
         raise ValueError(f"orthogonality violated at {violated}")
-    t_matrix = _adapted_basis([b for _, _, b in reversed(cert.triples)], field, n)
+    t_matrix = _adapted_basis([_numerators(b) for _, _, b in reversed(cert.triples)], field, n)
     grid, inv = conjugation_grids(t_matrix, field, n)
     for c, _, b in cert.triples:
         if not _term_is_triangular(c, b, grid, inv):
@@ -782,6 +815,11 @@ class _MapAnalysis:
     def strongly_nilpotent(self) -> bool:
         return self.flag[0] is not None
 
+    @property
+    def unipotent(self) -> bool:
+        """det(I + t JH) = 1, by the flag or by quasi (module docstring)."""
+        return self.strongly_nilpotent or self.quasi
+
 
 def _exhibit_inverse(shared: _MapAnalysis):
     """Try to exhibit an inverse: quasi-translation, direct triangular
@@ -827,14 +865,14 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
     report = PropertyReport()
 
     if "keller" in wanted:
-        det = None if shared.strongly_nilpotent else matrix_det(shared.jf)
+        det = None if shared.unipotent else matrix_det(shared.jf)
         if det is None or (det.is_constant() and not det.is_zero()):
             report.record("keller", HOLDS)
         else:
             report.record("keller", FAILS,
                           witness={"kind": "symbolic_determinant", "determinant": det})
     if "nilpotent" in wanted:
-        power = None if shared.strongly_nilpotent else shared.jh.power(n)
+        power = None if shared.unipotent else shared.jh.power(n)
         if power is None or power.is_zero():
             report.record("nilpotent", HOLDS)
         else:

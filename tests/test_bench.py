@@ -23,7 +23,8 @@ def test_every_microbench_kernel_runs_once():
             "quasi_test_q", "linear_form_power_zeta5", "is_pure_power_q",
             "orthogonality_f666_d6", "matrix_rank_q", "invert_triangular_q",
             "matrix_power_q", "sum_condition_det_q", "change_basis_f666_d4",
-            "report_dumps_f666_d5"} <= set(names)
+            "report_dumps_f666_d5", "sum_condition_conj_n4_d3",
+            "adapted_basis_f666_d4"} <= set(names)
     for name, call, number in kernels:
         assert number >= 1, name
         call()

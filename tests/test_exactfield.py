@@ -1,5 +1,6 @@
 """Field construction, exact scalar arithmetic and cyclotomic polynomials."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -314,3 +315,101 @@ def test_as_fraction_parses_strings_like_fraction():
         as_fraction(True)
     with pytest.raises(TypeError):
         as_fraction(1.5)
+
+
+# -- shared zero and one, inverse over Q, integer root test ---------------------
+
+def _eea_inverse(value):
+    """The inverse by the extended Euclidean algorithm, as for any min_poly."""
+    from kellerlab.exactfield import _udivmod, _uxgcd
+
+    field = value.field
+    g, s, _ = _uxgcd([c for c in value.coords], list(field.min_poly))
+    _, rem = _udivmod([c / g[0] for c in s], list(field.min_poly))
+    return rem + [Fraction(0)] * (field.degree - len(rem))
+
+
+def test_rational_inverse_matches_extended_euclid_fuzz():
+    rng = random.Random(470)
+    shifted = Field([Fraction(-3, 2), 1])  # Q presented as Q[t]/(t - 3/2)
+    for field in (QQ, shifted):
+        for _ in range(300):
+            c = Fraction(rng.randint(-10 ** rng.randint(1, 12), 10 ** 12), rng.randint(1, 10 ** 6))
+            if not c:
+                continue
+            inverse = field.scalar(c).inverse()
+            assert list(inverse.coords) == _eea_inverse(field.scalar(c)), c
+            assert type(inverse.coords[0]) is Fraction
+            assert inverse * c == field.one()
+        with pytest.raises(ZeroDivisionError, match="not invertible modulo min_poly: zero"):
+            field.zero().inverse()
+
+
+def test_zero_and_one_are_shared_and_never_mutated():
+    # one cached zero and one per field; after a whole chain run they still
+    # read 0 and 1, so no caller changed the coordinates of a shared scalar
+    from kellerlab.constructions import FamilySpec, make_family
+    from kellerlab.polymap import plus_identity
+    from kellerlab.properties import chain_report
+
+    for spec in (FamilySpec("n4", 3), FamilySpec("f667", 2, n=4), FamilySpec("small3", 3)):
+        h = make_family(spec)
+        field = h.field
+        zero, one = field.zero(), field.one()
+        assert field.zero() is zero and field.one() is one
+        assert isinstance(zero.coords, tuple) and isinstance(one.coords, tuple)
+        chain_report(plus_identity(h))
+        assert field.zero() is zero and field.one() is one
+        assert zero.coords == (0,) * field.degree
+        assert one.coords == (1,) + (0,) * (field.degree - 1)
+        assert zero == field.scalar(0) and one == field.scalar(1)
+
+
+def _fraction_roots(coeffs):
+    """The candidate test on Fraction powers that the integer test replaced."""
+    from kellerlab.exactfield import _divisors
+
+    coeffs = {e: Fraction(c) for e, c in enumerate(coeffs) if c}
+    if not coeffs:
+        return []
+    low = min(coeffs)
+    coeffs = {e - low: c for e, c in coeffs.items()}
+    deg = max(coeffs)
+    if deg == 0:
+        return [Fraction(0)] if low > 0 else []
+    den = 1
+    for c in coeffs.values():
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = {e: int(c * den) for e, c in coeffs.items()}
+    if max(abs(ints[deg]), abs(ints[0])) > 10 ** 10:
+        return None
+    roots = {Fraction(0)} if low > 0 else set()
+    for p in _divisors(abs(ints[0])):
+        for q in _divisors(abs(ints[deg])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * cand ** e for e, c in ints.items()) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def test_integer_root_test_matches_fraction_evaluation_fuzz():
+    rng = random.Random(3210)
+    found = 0
+    for trial in range(400):
+        # products of small linear factors have roots; a random tail often has none
+        coeffs = [Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.choice((1, 1, 2, 3)))]
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.randint(-5, 5), rng.randint(1, 4)
+            coeffs = [x * b - y * a for x, y in zip(coeffs + [0], [0] + coeffs)]
+            coeffs = [coeffs[0] * 0] + coeffs[1:] if rng.random() < 0.1 else coeffs
+        if rng.random() < 0.3:
+            coeffs = [c + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in coeffs]
+        if rng.random() < 0.2:
+            coeffs = [0] * rng.randint(1, 2) + coeffs
+        expected = _fraction_roots(coeffs)
+        assert rational_roots(coeffs) == expected, (trial, coeffs)
+        found += bool(expected)
+    assert 100 <= found <= 390
+    for coeffs in ([-(10 ** 11), 0, 1], [1, 0, 10 ** 10 + 1], [0, -(10 ** 11), 3]):
+        assert rational_roots(coeffs) is None and _fraction_roots(coeffs) is None
+    assert rational_roots([-(10 ** 10), 0, 1]) == [-(10 ** 5), 10 ** 5]

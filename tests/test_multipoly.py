@@ -348,3 +348,34 @@ def test_product_kernel_matches_term_loop_property(field, data):
     a, b = (MultiPoly.from_terms(field, 2, [(e, field.element(c)) for e, c in data.draw(terms)])
             for _ in range(2))
     _check_product(a, b)
+
+
+def _summed_terms(field, nvars, items):
+    """from_terms the old way: every term added to a fresh zero."""
+    terms = {}
+    for exps, coeff in items:
+        c = terms.get(tuple(exps), field.zero()) + field.scalar(coeff)
+        if c.is_zero():
+            terms.pop(tuple(exps), None)
+        else:
+            terms[tuple(exps)] = c
+    return terms
+
+
+def test_from_terms_repeated_and_cancelling_monomials():
+    field = Field(cyclotomic(3))
+    z = field.generator()
+    items = [((1, 0), z), ((0, 2), 3), ((1, 0), -z), ((1, 0), 2), ((0, 2), Fraction(-3)),
+             ((0, 0), 0), ((2, 1), z * z), ((2, 1), z)]
+    poly = MultiPoly.from_terms(field, 2, items)
+    assert poly.terms == {(1, 0): field.scalar(2), (2, 1): z * z + z}
+    assert poly.terms == _summed_terms(field, 2, items)
+    # a monomial that cancels and comes back; a lone zero is never stored
+    assert MultiPoly.from_terms(QQ, 1, [((1,), 1), ((1,), -1), ((1,), 5)]).terms == {
+        (1,): QQ.scalar(5)}
+    assert MultiPoly.from_terms(QQ, 1, [((1,), 0)]).is_zero()
+    rng = random.Random(9)
+    for _ in range(200):
+        items = [((rng.randint(0, 2), rng.randint(0, 1)), rng.choice((-2, -1, 0, 1, 1, 2)))
+                 for _ in range(rng.randint(0, 8))]
+        assert MultiPoly.from_terms(QQ, 2, items).terms == _summed_terms(QQ, 2, items), items

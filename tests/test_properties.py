@@ -21,8 +21,7 @@ from kellerlab.properties import (CHAIN_CONDITIONS, FAILS, HOLDS, UNDECIDED,
                                   substituted_jacobian_sum,
                                   triangularization_from_certificate,
                                   verify_star_certificate, verify_sum_witness)
-from kellerlab.properties import (_adapted_basis, _pivots, _strong_nilpotence_flag,
-                                  _term_is_triangular)
+from kellerlab.properties import _strong_nilpotence_flag, _term_is_triangular
 from kellerlab.constructions import (FAMILY_KINDS, FamilySpec, family_certificate,
                                      make_family)
 
@@ -750,6 +749,22 @@ def _scalar_apply(entries, vector, zero):
     return out
 
 
+def _pivots(vectors) -> list:
+    """Indices of the first maximal linearly independent subset of `vectors`."""
+    return linalg.rref([list(row) for row in zip(*vectors)])[1]
+
+
+def _adapted_basis(chain, field, n):
+    """The flag's basis on Scalar vectors: one rref pass over `chain` plus the
+    unit vectors; columns are the picked units, ascending, then the picked
+    chain vectors in reverse."""
+    vectors = chain + linalg.identity_grid(field, n)
+    picked = _pivots(vectors)
+    cols = ([vectors[p] for p in picked if p >= len(chain)]
+            + [vectors[p] for p in reversed(picked) if p < len(chain)])
+    return PolyMatrix.from_scalars(field, n, [[cols[j][i] for j in range(n)] for i in range(n)])
+
+
 def _reference_flag(jac):
     """The flag on `Scalar` vectors, every level's pivots by one `linalg.rref`."""
     field, n = jac.field, jac.nvars
@@ -937,3 +952,175 @@ def test_quasi_by_jh_h_matches_residual_property():
         _assert_quasi_agrees(h)
 
     check()
+
+
+# -- the sum condition against the symbolic determinant it replaced ------------
+
+def _reference_point_witness(jf, det, count):
+    """The pattern search on the determinant in n + count n variables."""
+    from kellerlab.properties import _pattern_points, _univariate_rational_roots
+
+    n, field = jf.nvars, jf.field
+    total = n + count * n
+    if det.is_zero():
+        return field, [[field.zero()] * n for _ in range(count)]
+    if not field.is_rational:
+        return None
+    for m in range(n):
+        for j in range(n):
+            if j == m:
+                continue
+            values = [MultiPoly.zero(field, 1)] * total
+            for b in range(count):
+                values[n + b * n + m] = MultiPoly.constant(field, 1, 1)
+            values[total - n + j] = MultiPoly.variable(field, 1, 0)
+            restricted = det.substitute(values)
+            if restricted.is_zero():
+                roots = [Fraction(0)]
+            elif restricted.is_constant():
+                continue
+            else:
+                roots = _univariate_rational_roots(restricted)
+                if roots is None:
+                    continue
+            if roots:
+                return field, _pattern_points(field, n, count, m, j, field.scalar(roots[0]))
+            if restricted.degree() == 2:
+                c2, c1, c0 = (restricted.terms.get((k,), field.zero()).as_rational()
+                              for k in (2, 1, 0))
+                ext = Field([c0 / c2, c1 / c2, 1])
+                return ext, _pattern_points(ext, n, count, m, j, ext.generator())
+    return None
+
+
+def _reference_sum_condition(jf, count, label):
+    """The route before the generic sum: the determinant in n + count n
+    variables decides holds, and the patterns are substituted into it."""
+    import operator
+
+    from kellerlab.properties import _fresh_copies, _sum_vanishes_at
+
+    det = matrix_det(_fresh_copies(jf, count, operator.add))
+    report = PropertyReport()
+    if det.is_constant() and not det.is_zero():
+        return report.record(label, HOLDS,
+                             note=f"determinant is the constant {det.constant_value()!r}")
+    found = _reference_point_witness(jf, det, count)
+    if found is not None:
+        field, points = found
+        assert _sum_vanishes_at(jf, field, points)
+        return report.record(label, FAILS, witness={"kind": "points", "field": field,
+                                                    "points": points},
+                             note="determinant vanishes at the witness points")
+    return report.record(label, FAILS, witness={"kind": "symbolic_determinant",
+                                                "determinant": det},
+                         note="determinant is not a nonzero constant")
+
+
+def _random_jacobian_map(rng, field, n, degree):
+    """x + H with H of degree <= `degree`, linear terms included; a third of the
+    draws strictly triangular, so their summed determinant is count^n."""
+    triangular = rng.random() < 0.35
+    comps = []
+    for i in range(n):
+        items = []
+        upper = i if triangular else n
+        for _ in range(rng.randint(0, 3) if upper else 0):
+            exps = [0] * n
+            for _ in range(rng.randint(1, degree)):
+                exps[rng.randrange(upper)] += 1
+            items.append((tuple(exps), _random_scalar(rng, field)))
+        comps.append(MultiPoly.from_terms(field, n, items))
+    return plus_identity(PolyMap(comps))
+
+
+def _assert_sum_condition_agrees(f, count, outcomes):
+    from kellerlab.properties import _sum_condition
+
+    jf = jacobian(f)
+    got = _sum_condition(jf, count, "jc")
+    expected = _reference_sum_condition(jf, count, "jc")
+    assert (got.conditions, got.witnesses, got.notes) == \
+        (expected.conditions, expected.witnesses, expected.notes), (count, f)
+    assert (serialize.dumps(serialize.report_to_json(got))
+            == serialize.dumps(serialize.report_to_json(expected)))
+    witness = got.witness("jc")
+    kind = None if witness is None else witness["kind"]
+    if kind == "points":
+        kind = ("zero points" if all(v.is_zero() for p in witness["points"] for v in p)
+                else "extension points" if witness["field"] != f.field else "points")
+    outcomes.append((got.verdict("jc"), kind))
+
+
+def test_sum_condition_matches_symbolic_determinant_fuzz():
+    # the generic sum, the restricted patterns and the fallback give the whole
+    # report of the determinant in n + count n variables, byte for byte
+    import random
+
+    rng = random.Random(1958)
+    outcomes = []
+    zeta3 = Field(cyclotomic(3))
+    for spec, counts in ((FamilySpec("n4", 3), (1, 2, 4)), (FamilySpec("n5", 2), (1, 2)),
+                         (FamilySpec("nonhomog_n4", 3), (1, 2, 4)),
+                         (FamilySpec("nonhomog_n5", 2), (1, 3))):
+        h = make_family(spec)
+        for _ in range(3):
+            hidden = plus_identity(conjugate(h, _dense_sign_matrix(rng, QQ, h.nvars)))
+            for count in counts:
+                _assert_sum_condition_agrees(hidden, count, outcomes)
+    for field, trials in ((QQ, 60), (zeta3, 12)):
+        for _ in range(trials):
+            n = rng.randint(1, 3)
+            f = _random_jacobian_map(rng, field, n, rng.choice((2, 3)))
+            _assert_sum_condition_agrees(f, rng.randint(1, n), outcomes)
+    lifted = PolyMap([lift_to_field(c, zeta3) for c in make_family(FamilySpec("n4", 3)).components])
+    _assert_sum_condition_agrees(plus_identity(lifted), 2, outcomes)
+    # det JF = 1 - x1 vanishes on the first pattern, e_1 + s e_2, but not identically
+    x1, x2 = variables(QQ, 2)
+    for count in (1, 2):
+        _assert_sum_condition_agrees(PolyMap([x1 - x1 ** 2 * Fraction(1, 2), x2]), count,
+                                     outcomes)
+        assert outcomes[-1] == (FAILS, "points")
+    # summed determinants that vanish identically, over Q and over Q(zeta_3)
+    for field in (QQ, zeta3):
+        _assert_sum_condition_agrees(PolyMap([MultiPoly.zero(field, 1)]), 1, outcomes)
+        x1, x2, x3 = variables(field, 3)
+        for count in (1, 2, 3):
+            _assert_sum_condition_agrees(PolyMap([x1, x1, x3]), count, outcomes)
+            _assert_sum_condition_agrees(PolyMap([x1 ** 2, x2, x1 * x2 * 2]), count, outcomes)
+    kinds = {kind for _, kind in outcomes}
+    assert {None, "points", "zero points", "extension points", "symbolic_determinant"} <= kinds
+    assert 20 <= sum(verdict == HOLDS for verdict, _ in outcomes) <= len(outcomes) - 40
+
+
+def test_quasi_translations_are_keller_and_nilpotent():
+    # JH H = 0 proves keller and nilpotent without a determinant or a power;
+    # both agree with matrix_det(JF) and JH^n, also where the flag fails (n4)
+    import random
+
+    rng = random.Random(2006)
+    zeta3 = Field(cyclotomic(3))
+    maps = []
+    for field in (QQ, zeta3):
+        for spec in (FamilySpec("n4", 3), FamilySpec("n4", 4), FamilySpec("nonhomog_n4", 3),
+                     FamilySpec("small3", 3)):
+            h = PolyMap([lift_to_field(c, field) for c in make_family(spec).components])
+            maps.append(conjugate(h, _random_invertible(rng, field, h.nvars, (-1, 0, 1, 1, 2))))
+        for _ in range(8):
+            n = rng.randint(2, 4)
+            t_matrix = _random_invertible(rng, field, n, (-1, 0, 1, 1, 2))
+            maps.append(conjugate(_first_row_quasi(rng, field, n), t_matrix))
+    flag_fails = 0
+    for h in maps:
+        f = plus_identity(h)
+        assert is_quasi_translation(f), h
+        rep = chain_report(f, checks=["keller", "nilpotent"])
+        det = matrix_det(jacobian(f))
+        assert rep.verdict("keller") == (HOLDS if det.is_constant() and not det.is_zero()
+                                         else FAILS), h
+        assert det == MultiPoly.constant(h.field, h.nvars, 1)
+        assert rep.verdict("nilpotent") == (HOLDS if jacobian(h).power(h.nvars).is_zero()
+                                            else FAILS), h
+        assert rep.witnesses == {} and rep.notes == {}
+        flag_fails += _strong_nilpotence_flag(jacobian(h))[0] is None
+    assert flag_fails >= 4

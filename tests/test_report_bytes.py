@@ -1,11 +1,13 @@
 """Report bytes are pinned: `analyze --checks all` on six small maps and on
-the defining f666 d=5 and f667 d=4, whose `jc_minus` inverses are large.
+the defining f666 d=5 and f667 d=4, whose `jc_minus` inverses are large, and
+`analyze --checks jc,jc-plus` on three maps that fail JC or JC+.
 
 The sha256 of each small report, and the exit code, were computed before the
 arithmetic kernels were merged into one sum-of-products kernel; the two large
 ones before the inverse was built in batches and reports were written without
-`json`.  A change that alters witness bytes on purpose updates these pins and
-says so.
+`json`; the JC/JC+ ones while both were decided by the determinant in
+n + count n variables.  A change that alters witness bytes on purpose updates
+these pins and says so.
 """
 
 import hashlib
@@ -28,6 +30,15 @@ MAPS = {
     "f667-d4": ("f667", 4, None, None),
 }
 
+# `analyze --checks jc,jc-plus`: point witnesses on the conjugated maps (the
+# workload's T at seed 1), the symbolic determinant on nonhomog_n4 d=5
+SUM_MAPS = {
+    "conj-n4-d5": ("n4", 5, None, [[1, 0, 0, -1], [-1, 0, 1, 0], [1, 0, 1, 0], [0, 1, -1, 0]]),
+    "conj-n5-d3": ("n5", 3, None, [[1, 0, 0, 1, 0], [-1, 0, 0, 0, -1], [1, 0, 1, 0, 0],
+                                   [0, 1, 1, 0, 0], [0, 0, 1, 0, 1]]),
+    "nonhomog_n4-d5": ("nonhomog_n4", 5, None, None),
+}
+
 PINNED = {
     "n4-d3": (1, "c6d0efd5e5b288b51c5dde4f912f9f9a17ee8b881c0c864095be60c489f18c08"),
     "n5-d2": (1, "ca7d2990ea42004a9dcd6ab70a6cab0b7f495411e3fbc19feead6c200ea48097"),
@@ -40,15 +51,22 @@ PINNED = {
 }
 
 
-def analyze_all(tmp_path, name):
-    """(exit code, report bytes) of `analyze --checks all` on one of MAPS."""
-    kind, d, n, t = MAPS[name]
+SUM_PINNED = {
+    "conj-n4-d5": (1, "73e4b595e839304630ee97a917a79cc0f8dd168c39ee692fbd5764d702f9605c"),
+    "conj-n5-d3": (0, "f005f8aa0d3a46f8d9f2b33a98b099416da2b233f91d21c77a70aea07f56205d"),
+    "nonhomog_n4-d5": (1, "3726208dc0b194ab6fcd41f41490ba1bfcc9e50c7047e60fccf2fd4c3df4d724"),
+}
+
+
+def analyze_all(tmp_path, name, maps=MAPS, checks="all"):
+    """(exit code, report bytes) of `analyze --checks <checks>` on one of `maps`."""
+    kind, d, n, t = maps[name]
     h = make_family(FamilySpec(kind, d, n=n))
     if t is not None:
         h = conjugate(h, PolyMatrix.from_scalars(h.field, h.nvars, t))
     path, report = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
     path.write_text(serialize.dumps(serialize.map_to_json(h)), encoding="utf-8")
-    code = cli.main(["analyze", str(path), "--checks", "all", "--report", str(report)])
+    code = cli.main(["analyze", str(path), "--checks", checks, "--report", str(report)])
     return code, report.read_bytes()
 
 
@@ -59,3 +77,12 @@ def test_reports_match_their_pins(tmp_path, capsys):
         got[name] = (code, hashlib.sha256(data).hexdigest())
     capsys.readouterr()
     assert got == PINNED
+
+
+def test_sum_condition_reports_match_their_pins(tmp_path, capsys):
+    got = {}
+    for name in SUM_MAPS:
+        code, data = analyze_all(tmp_path, name, SUM_MAPS, "jc,jc-plus")
+        got[name] = (code, hashlib.sha256(data).hexdigest())
+    capsys.readouterr()
+    assert got == SUM_PINNED
