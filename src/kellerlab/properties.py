@@ -16,11 +16,14 @@ triangularizability (van den Essen and Hubbers, JPAA 110, 1996).  Writing
 JH = sum_m x^m A_m with constant matrices A_m, the flag W_0 = K^n,
 W_{k+1} = sum_m A_m W_k reaches 0 exactly when H is strongly nilpotent; a
 basis adapted to it is a T with T^{-1} H(Tx) strictly triangular, and
-otherwise a nonzero word of n matrices A_m is the witness.  The flag runs
-on integer numerators over one denominator per vector, and a level stops
-once it is as large as the level before, since W_{k+1} lies in W_k; its
-adapted basis is picked on the same integer echelon.  When the flag holds,
-keller, nilpotent, JC and JC+ hold, and JC- holds by inverting T^{-1} F(Tx).
+otherwise a nonzero word of n matrices A_m is the witness.  The flag runs on
+K^n = Q^{n e}, e = [K : Q]: a vector is one flat list of n e integers over
+one denominator, each A_m acts by its regular representation, a sparse
+integer matrix, and a vector is K-independent of those kept when fraction-free
+elimination over Q finds it outside their span with their multiples by
+t, ..., t^{e-1}.  A level stops once it is as large as the level before,
+since W_{k+1} lies in W_k.  When the flag holds, keller, nilpotent, JC and
+JC+ hold, and JC- holds by inverting T^{-1} F(Tx).
 
 Otherwise keller and nilpotent hold when x + H is a quasi-translation (below),
 and go through det JF and JH^n when it is not.  JC and JC+ write
@@ -52,7 +55,6 @@ unit of K[t][x], so 1, its value at t = 0.  So det JF = 1 and JH is nilpotent.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from functools import cache, cached_property
@@ -60,7 +62,8 @@ from itertools import repeat
 
 from . import linalg
 from .exactfield import Field, Scalar, rational_roots
-from .multipoly import (LinearForm, MultiPoly, _integer_terms, _numerators, is_pure_power,
+from .linalg import _extends, _image, _ring, _scalars, _times_t
+from .multipoly import (LinearForm, MultiPoly, _numerators, is_pure_power,
                         lift_to_field, rename_variables, sums_of_products)
 from .polymap import (PolyMap, PolyMatrix, change_basis, conjugation_grids, jacobian,
                       linear_combinations, matrix_det, invert_triangular,
@@ -358,63 +361,19 @@ def _strong_report(word) -> PropertyReport:
                          note="a word of n coefficient matrices of JH is nonzero")
 
 
-def _coefficient_matrices(jac: PolyMatrix) -> dict:
-    """JH = sum_m x^m A_m: by m, the `_integer_terms` (D, [((i, j), [(k, n_k)])])
-    of the nonzero entries of A_m, coordinate k of entry (i, j) being n_k / D."""
-    mats = {}
-    for i, row in enumerate(jac.entries):
-        for j, entry in enumerate(row):
-            for m, value in entry.terms.items():
-                mats.setdefault(m, {})[i, j] = value
-    return {m: _integer_terms(entries) for m, entries in sorted(mats.items())}
-
-
-def _primitive(coords, den=0):
-    """(den', coords') with integer coords' / den' = coords / den, divided by their
-    gcd (den = 0 keeps the direction only); a non-integral fold leaves Fractions."""
-    if not all(type(c) is int for e in coords for c in e):
-        scale = math.lcm(*(c.denominator for e in coords for c in e))
-        coords, den = [[int(c * scale) for c in e] for e in coords], den * scale
-    g = math.gcd(den, *(c for e in coords for c in e))
-    if g > 1:
-        coords, den = [[c // g for c in e] for e in coords], den // g
-    return den, coords
-
-
-def _image(field: Field, mat, vec):
-    """A v as (den, integer coordinates), for A from `_coefficient_matrices`."""
-    (den_a, entries), (den_v, coords) = mat, vec
-    out = [[0] * (2 * field.degree - 1) for _ in coords]
-    for (i, j), a in entries:
-        for k, x in a:
-            for l, y in enumerate(coords[j]):
-                out[i][k + l] += x * y
-    return _primitive([field.reduce(p) for p in out], den_a * den_v)
-
-
-def _extends(field: Field, basis: list, coords) -> bool:
-    """Add the vector to the fraction-free echelon `basis` [(pivot, row)] when
-    independent of it: a primitive copy v is reduced by row[p] v - v[p] row."""
-    v = _primitive(coords)[1]
-    for p, row in basis:
-        c = v[p]
-        if any(c):
-            v = _primitive([[x - y for x, y in zip(field.times(row[p], a), field.times(c, b))]
-                            for a, b in zip(v, row)])[1]
-    p = next((k for k, e in enumerate(v) if any(e)), None)
-    if p is not None:
-        basis.append((p, v))
-    return p is not None
-
-
-def _scalars(field: Field, vec):
-    """The vector (den, integer coordinates) as a list of Scalars."""
-    den, coords = vec
-    return [Scalar(field, tuple(Fraction(c, den) for c in e)) for e in coords]
-
-
-def _unit_vectors(field: Field, n: int) -> list:
-    return [(1, [[int(i == j)] + [0] * (field.degree - 1) for i in range(n)]) for j in range(n)]
+def _coefficient_matrices(jac: PolyMatrix, ring) -> dict:
+    """JH = sum_m x^m A_m: by m, the regular representation (D, [(row, col, a)]) of
+    A_m, its Q-linear map on Q^{n e}, as integers a over one denominator D."""
+    (e, s, _), mats = ring, {}
+    items = [(m, i, j, c) for i, row in enumerate(jac.entries)
+             for j, entry in enumerate(row) for m, c in entry.terms.items()]
+    den, coords = _numerators([c for *_, c in items])
+    for (m, i, j, _), a in zip(items, coords):
+        for l in range(e):  # column l of the block is t^l a, over den s^l
+            a = _times_t(ring, a) if l else a
+            mats.setdefault(m, []).extend((i * e + r, j * e + l, x * s ** (e - 1 - l))
+                                          for r, x in enumerate(a) if x)
+    return {m: (den * s ** (e - 1), mats[m]) for m in sorted(mats)}
 
 
 def _strong_nilpotence_flag(jac: PolyMatrix):
@@ -428,22 +387,23 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
     vector of W_k is kept as the image of a unit vector under a word of k
     matrices, so a nonzero W_n yields a witness word of exactly n letters.
 
-    Vectors are integer numerators over one denominator.  A level keeps, in
-    image order, each image independent of those kept (`_extends`), and
-    stops once it is as large as the level before: W_{k+1} lies in W_k.
+    A vector of K^n = Q^{n e} is n e integers over one denominator, and A_m
+    acts by its regular representation.  A level keeps, in image order, each
+    image K-independent of those kept (`_extends`), and stops once it is as
+    large as the level before: W_{k+1} lies in W_k.
     """
     field, n = jac.field, jac.nvars
     if jac.is_lower_triangular(strict=True):
         return PolyMatrix.identity(field, n, n), None
-    zero = field.zero()
-    mats = _coefficient_matrices(jac)
-    levels = [[((), j, unit) for j, unit in enumerate(_unit_vectors(field, n))]]
+    zero, ring, e = field.zero(), _ring(field), field.degree
+    mats = _coefficient_matrices(jac, ring)
+    levels = [[((), j, (1, [int(k == j * e) for k in range(n * e)])) for j in range(n)]]
     for _ in range(n):
-        images = (((m,) + word, j, _image(field, mat, v))
+        images = (((m,) + word, j, _image(mat, v))
                   for word, j, v in levels[-1] for m, mat in mats.items())
         level, basis = [], []
         for word, j, image in images:
-            if _extends(field, basis, image[1]):
+            if _extends(ring, basis, image[1]):
                 level.append((word, j, image))
                 if len(level) == len(levels[-1]):
                     break
@@ -453,14 +413,14 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
         levels.append(level)
     word, j, (den, image) = levels[-1][0]
     # re-check against the Jacobian entries themselves, on integer numerators
-    scale, check = 1, levels[0][j][2][1]
+    scale, check = 1, [[int(i == j)] + [0] * (e - 1) for i in range(n)]
     for m in reversed(word):
-        step, entries = _numerators([e.terms.get(m, zero) for row in jac.entries for e in row])
+        step, entries = _numerators([entry.terms.get(m, zero) for row in jac.entries
+                                     for entry in row])
         rows = [entries[i * n:(i + 1) * n] for i in range(n)]
         scale, check = scale * step, [list(map(sum, zip(*map(field.times, row, check))))
                                       for row in rows]
-    if (any(x * den != y * scale for a, b in zip(check, image) for x, y in zip(a, b))
-            or not any(map(any, image))):
+    if not any(image) or any(x * den != y * scale for x, y in zip(sum(check, []), image)):
         raise ArithmeticError("strong-nilpotence word failed re-verification")
     return None, {"kind": "word", "word": list(word), "unit": j,
                   "image": _scalars(field, (den, image))}
@@ -469,13 +429,15 @@ def _strong_nilpotence_flag(jac: PolyMatrix):
 def _adapted_basis(chain, field: Field, n: int) -> PolyMatrix:
     """An invertible T whose last columns span chain[:k] for every k.
 
-    `chain` holds (den, integer coordinates) vectors.  The chain vectors, then
-    the unit vectors, are picked in order when independent of those picked
-    before (`_extends`); the columns of T are the picked unit vectors,
+    `chain` holds (den, flat integer coordinates) vectors.  The chain vectors,
+    then the unit vectors, are picked in order when K-independent of those
+    picked before (`_extends`); the columns of T are the picked unit vectors,
     ascending, then the picked chain vectors in reverse."""
-    vectors, basis, picked = chain + _unit_vectors(field, n), [], []
+    ring, e = _ring(field), field.degree
+    vectors = chain + [(1, [int(k == j * e) for k in range(n * e)]) for j in range(n)]
+    basis, picked = [], []
     for k, (_, coords) in enumerate(vectors):
-        if len(picked) < n and _extends(field, basis, coords):
+        if len(picked) < n and _extends(ring, basis, coords):
             picked.append(k)
     cols = [_scalars(field, vectors[p]) for p in picked if p >= len(chain)] + \
         [_scalars(field, vectors[p]) for p in reversed(picked) if p < len(chain)]
@@ -645,7 +607,8 @@ def triangularization_from_certificate(cert: StarCertificate, n: int,
     violated = _orthogonality_failure(cert)
     if violated is not None:
         raise ValueError(f"orthogonality violated at {violated}")
-    t_matrix = _adapted_basis([_numerators(b) for _, _, b in reversed(cert.triples)], field, n)
+    chain = map(_numerators, (b for _, _, b in reversed(cert.triples)))
+    t_matrix = _adapted_basis([(den, sum(coords, [])) for den, coords in chain], field, n)
     grid, inv = conjugation_grids(t_matrix, field, n)
     for c, _, b in cert.triples:
         if not _term_is_triangular(c, b, grid, inv):

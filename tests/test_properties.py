@@ -1,12 +1,13 @@
 """Chain condition checkers, certificates and triangularization."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from kellerlab import linalg, serialize
 from kellerlab.exactfield import QQ, Field, cyclotomic
-from kellerlab.multipoly import LinearForm, MultiPoly, lift_to_field, variables
+from kellerlab.multipoly import LinearForm, MultiPoly, _numerators, lift_to_field, variables
 from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, jacobian,
                                map_compose, matrix_det, matrix_is_nilpotent,
                                plus_identity)
@@ -855,6 +856,100 @@ def test_integer_flag_matches_scalar_flag_fuzz():
         holds.setdefault(h.field, []).append(expected[0] is not None)
     for field in _FLAG_FIELDS:
         assert 5 <= sum(holds[field]) <= len(holds[field]) - 5, field
+
+
+# -- the flat-vector basis against the nested-vector basis it replaced ----------
+
+def _nested_primitive(coords, den=0):
+    if not all(type(c) is int for e in coords for c in e):
+        scale = math.lcm(*(c.denominator for e in coords for c in e))
+        coords, den = [[int(c * scale) for c in e] for e in coords], den * scale
+    g = math.gcd(den, *(c for e in coords for c in e))
+    if g > 1:
+        coords, den = [[c // g for c in e] for e in coords], den // g
+    return den, coords
+
+
+def _nested_extends(field, basis, coords):
+    """Echelon over K on lists of per-entry coordinate lists, products by Field.times."""
+    v = _nested_primitive(coords)[1]
+    for p, row in basis:
+        c = v[p]
+        if any(c):
+            v = _nested_primitive([[x - y for x, y in zip(field.times(row[p], a),
+                                                          field.times(c, b))]
+                                   for a, b in zip(v, row)])[1]
+    p = next((k for k, e in enumerate(v) if any(e)), None)
+    if p is not None:
+        basis.append((p, v))
+    return p is not None
+
+
+def _nested_adapted_basis(chain, field, n):
+    """The basis routine on (den, [[n_k] per entry]) vectors, as it was before the
+    vectors were flattened."""
+    units = [(1, [[int(i == j)] + [0] * (field.degree - 1) for i in range(n)])
+             for j in range(n)]
+    vectors, basis, picked = chain + units, [], []
+    for k, (_, coords) in enumerate(vectors):
+        if len(picked) < n and _nested_extends(field, basis, coords):
+            picked.append(k)
+    cols = ([vectors[p] for p in picked if p >= len(chain)]
+            + [vectors[p] for p in reversed(picked) if p < len(chain)])
+    return PolyMatrix.from_scalars(field, n, [
+        [field.element([Fraction(c, den) for c in coords[i]]) for den, coords in cols]
+        for i in range(n)])
+
+
+def _random_orthogonal_certificate(rng, field, n):
+    """c_j^t b_i = 0 for i >= j: c_i lives on the coordinates before a cut p_i and
+    b_i from p_i on, p nondecreasing; a b_i may be a multiple in K of the b before
+    it (same cut), so Q-independent vectors can be K-dependent.  Most are then
+    moved by b -> S b, c -> S^{-t} c for a random invertible S."""
+    cuts = sorted(rng.randint(1, n - 1) for _ in range(rng.randint(1, n + 1)))
+    triples = []
+    for p in cuts:
+        if triples and triples[-1][0] == p and rng.random() < 0.4:
+            b = [x * _random_scalar(rng, field) for x in triples[-1][2]]
+        else:
+            b = [_random_scalar(rng, field) if k >= p else field.zero() for k in range(n)]
+        c = [_random_scalar(rng, field) if k < p else field.zero() for k in range(n)]
+        triples.append((p, c, b))
+    s_grid = linalg.identity_grid(field, n)
+    if rng.random() < 0.7:
+        s_grid = _random_invertible(rng, field, n, (-1, 0, 0, 1, 2, Fraction(1, 2))).constant_grid()
+    inv = linalg.invert(s_grid, field)
+    zero = field.zero()
+    moved = [(LinearForm(field, [sum((inv[r][k] * c[r] for r in range(n)), zero)
+                                 for k in range(n)]),
+              rng.randint(1, 3),
+              [sum((s_grid[k][r] * b[r] for r in range(n)), zero) for k in range(n)])
+             for _, c, b in triples]
+    return StarCertificate("star", moved)
+
+
+def test_flat_adapted_basis_matches_nested_basis_fuzz():
+    # triangularization_from_certificate on flat vectors with t-multiples gives
+    # the T of the nested-vector routine, byte for byte, over four fields
+    import random
+
+    rng = random.Random(1996)
+    dependent = {}
+    for field, trials in zip(_FLAG_FIELDS, (60, 50, 30, 50)):
+        for _ in range(trials):
+            n = rng.randint(2, 5)
+            cert = _random_orthogonal_certificate(rng, field, n)
+            chain = [_numerators(b) for _, _, b in reversed(cert.triples)]
+            expected = _nested_adapted_basis(chain, field, n)
+            t_matrix = triangularization_from_certificate(cert, n)
+            assert (serialize.dumps(serialize.matrix_to_json(t_matrix))
+                    == serialize.dumps(serialize.matrix_to_json(expected))), (field, cert.triples)
+            # K-dependent b_i, mostly by a multiple outside Q: the t-multiples decide them
+            nonzero = [b for _, _, b in cert.triples if any(not x.is_zero() for x in b)]
+            dependent[field] = dependent.get(field, 0) + (
+                linalg.rank([list(b) for b in nonzero]) < len(nonzero))
+    for field in _FLAG_FIELDS:
+        assert dependent[field] >= 5, field
 
 
 # -- quasi-translation by JH H = 0 against the residual H(x - H) - H -----------
