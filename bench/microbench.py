@@ -220,7 +220,7 @@ def kernels():
         ("invert_triangular_q", lambda: invert_triangular(f666_f), 5),
         ("matrix_power_q", lambda: n5_jh.power(5), 10),
         ("sum_condition_det_q", lambda: matrix_det(n4_sum), 2),
-        ("sum_condition_conj_n4_d3", lambda: properties._sum_condition(n4_jf, 2, "jc"), 5),
+        ("sum_condition_conj_n4_d3", lambda: properties._sum_condition(n4_jf, 2), 5),
         ("adapted_basis_f666_d4", lambda: properties._adapted_basis(f666_chain, QQ, 10), 20),
         ("adapted_basis_f667_d5",
          lambda: properties._adapted_basis(f667_chain, f667_cert.field, f667_cert.nvars), 10),

@@ -1,6 +1,6 @@
 """Exact linear algebra on small matrices of field scalars.
 
-Matrices are plain lists of lists of Scalar.  Everything here runs full
+Matrices are plain lists of lists of Scalar.  The public routines run full
 Gauss-Jordan over the field; matrix sizes stay tiny throughout the package.
 
 The strong-nilpotence flag and its adapted basis run on flat integer vectors

@@ -11,53 +11,54 @@ The chain, strongest first:
     (JC)   same with deg-1 points
     (JC-)  x + H is invertible
 
-(*) is decided through strong nilpotence of JH, which is the same as linear
-triangularizability (van den Essen and Hubbers, JPAA 110, 1996).  Writing
-JH = sum_m x^m A_m with constant matrices A_m, the flag W_0 = K^n,
-W_{k+1} = sum_m A_m W_k reaches 0 exactly when H is strongly nilpotent; a
-basis adapted to it is a T with T^{-1} H(Tx) strictly triangular, and
-otherwise a nonzero word of n matrices A_m is the witness.  The flag runs on
-K^n = Q^{n e}, e = [K : Q]: a vector is one flat list of n e integers over
-one denominator, each A_m acts by its regular representation, a sparse
-integer matrix, and a vector is K-independent of those kept when fraction-free
-elimination over Q finds it outside their span with their multiples by
-t, ..., t^{e-1}.  A level stops once it is as large as the level before,
-since W_{k+1} lies in W_k.  When the flag holds, keller, nilpotent, JC and
-JC+ hold, and JC- holds by inverting T^{-1} F(Tx).
+Each condition has one decider, `_MapAnalysis` -> (verdict, witness, note),
+shared by `chain_report` and the public checks: `_decide_sum` for jc and
+jc_plus, `_decide_word` for strong_nilpotent, `_decide_level` for the three
+certificate levels, `_decide_<condition>` for the rest.  Routes, in order:
 
-Otherwise keller and nilpotent hold when x + H is a quasi-translation (below),
-and go through det JF and JH^n when it is not.  JC and JC+ write
-JF = sum_m x^m B_m: the sum of JF at count points v_k is G(p(v)) for
-G(lam) = count B_0 + sum_{m != 0} lam_m B_m and p_m(v) = sum_k v_k^m, so a
-nonzero constant det G proves holds, since its value is the summed
-determinant's (a nilpotent span of the A_m, Gerstenhaber, Amer. J. Math. 80,
-1958, gives count^n); a non-constant one proves nothing.  Failure is then
-sought at point patterns whose summed JF is univariate, in the order of
-`_point_witness`, and the determinant in n + count n variables is expanded
-last, for the witness when no pattern gives one.  (**) and (***) are
-verified via explicit certificates; their failure is asserted only by two
-sound desk-scale oracles (single-term matching in dimension 2, and the
-one-dimensional component-span argument, whose generator is the first
-nonzero component once every other one is a multiple of it).  (JC-) is
-never decided in the negative: the verdict is holds only when an inverse is
-exhibited.  A certificate's orthogonality clause is tested on integer
+    keller, nilpotent  the flag or JH H = 0; else det JF, JH^n
+    quasi              JH H = 0; else the first nonzero component of H(x-H)-H
+    jc_minus           x - H if JH H = 0; forward substitution if JH is
+                       triangular; T^{-1} F(Tx) inverted by the flag; else undecided
+    jc, jc_plus        the flag; det G; point patterns; the full determinant
+    strong_nilpotent   the flag, or its word witness
+    star               the certificate; the flag when H(0) = 0
+    doublestar, ***    the certificate; the desk-scale oracles; else undecided
+
+The flag: JH = sum_m x^m A_m is strongly nilpotent, which is linear
+triangularizability (van den Essen and Hubbers, JPAA 110, 1996), exactly when
+W_0 = K^n, W_{k+1} = sum_m A_m W_k reaches 0; a basis adapted to it is a T
+with T^{-1} H(Tx) strictly triangular, and otherwise a nonzero word of n
+matrices A_m is the witness.  It runs on flat integer vectors of
+K^n = Q^{n e}, e = [K : Q], with each A_m as its regular representation
+(`_strong_nilpotence_flag`, `linalg`).
+
+JH H = 0 exactly when x + H is a quasi-translation, H(x - H) = H (de Bondt,
+Proc. AMS 134, 2006): H is then constant along the flow x + tH of the vector
+field H, in any Q-algebra; put t = -1.  As tH also has J(tH) tH = 0, x - tH
+inverts x + tH over K[t]: det(I + t JH) is a unit of K[t][x], so 1, its value
+at t = 0.  So det JF = 1 and JH is nilpotent.
+
+JC and JC+ write JF = sum_m x^m B_m: the sum of JF at count points v_k is
+G(p(v)) for G(lam) = count B_0 + sum_{m != 0} lam_m B_m and
+p_m(v) = sum_k v_k^m, so a nonzero constant det G proves holds; a
+non-constant one proves nothing.  When the flag holds, T^{-1} G T is count I
+plus a strictly lower triangular matrix, so det G = count^n.  Failure is
+sought at point patterns, substitutions into det G (`_point_witness`), and
+the determinant in n + count n variables is expanded last.
+
+(**) and (***) fail only by two sound oracles (single-term matching in
+dimension 2, and the one-dimensional component-span argument), and (JC-)
+never fails.  A certificate's orthogonality clause is tested on integer
 numerators: each c_j and b_i is scaled once to integer coordinates, and each
 pairing is an integer convolution folded by `Field.reduce`.
-
-x + H is a quasi-translation, H(x - H) = H, exactly when JH H = 0 (de
-Bondt, Proc. AMS 134, 2006).  If JH H = 0, H is constant along the flow of
-the vector field H, so that flow is x + tH and H(x + tH) = H, in any
-Q-algebra; put t = -1.  By the converse, when JH H != 0 some component of
-H(x - H) - H is nonzero, and the first one is the failure witness.  As tH
-also has J(tH) tH = 0, x - tH inverts x + tH over K[t]: det(I + t JH) is a
-unit of K[t][x], so 1, its value at t = 0.  So det JF = 1 and JH is nilpotent.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import repeat
 
 from . import linalg
@@ -67,7 +68,7 @@ from .multipoly import (LinearForm, MultiPoly, _numerators, is_pure_power,
                         lift_to_field, rename_variables, sums_of_products)
 from .polymap import (PolyMap, PolyMatrix, change_basis, conjugation_grids, jacobian,
                       linear_combinations, matrix_det, invert_triangular,
-                      nonlinear_part)
+                      nonlinear_part, plus_identity)
 
 __all__ = [
     "HOLDS",
@@ -201,45 +202,39 @@ def _univariate_rational_roots(poly: MultiPoly):
     return rational_roots(dense)
 
 
-def _generic_sum(jf: PolyMatrix, count: int) -> PolyMatrix:
-    """G(lam) = count B_0 + sum_{m != 0} lam_m B_m for JF = sum_m x^m B_m, one lam
-    per distinct nonconstant monomial m of JF."""
+def _generic_sum(jf: PolyMatrix, count: int):
+    """(G, ms): G(lam) = count B_0 + sum_{m != 0} lam_m B_m for JF = sum_m x^m B_m,
+    one lam per distinct nonconstant monomial m of JF, listed in `ms`."""
     monomials = sorted({m for row in jf.entries for e in row for m in e.terms if any(m)})
     lam = {m: tuple(int(m == k) for k in monomials) for m in monomials}
     lam[(0,) * jf.nvars] = (0,) * len(monomials)
     return jf.map_entries(lambda e: MultiPoly(e.field, len(monomials), {
-        lam[m]: c if any(m) else c * count for m, c in e.terms.items()}))
+        lam[m]: c if any(m) else c * count for m, c in e.terms.items()})), monomials
 
 
-def _pattern_sum(jf: PolyMatrix, count: int, m: int, j: int) -> PolyMatrix:
-    """(count - 1) JF(e_m) + JF(e_m + s e_j), univariate in s: JF summed at the
-    points of the pattern (m, j) of `_point_witness`."""
-    others = [i for i in range(jf.nvars) if i not in (m, j)]
-    return jf.map_entries(lambda e: MultiPoly.from_terms(e.field, 1, [
-        ((exps[j],), c if exps[j] else c * count)
-        for exps, c in e.terms.items() if not any(exps[i] for i in others)]))
-
-
-def _point_witness(jf: PolyMatrix, count: int, full_det):
+def _point_witness(det: MultiPoly, monomials, n: int, count: int, full_det):
     """Search for concrete points where the summed-Jacobian determinant is 0.
 
-    Pattern: repeat a unit point e_m and perturb the last point to
-    e_m + s e_j for a single coordinate s; the determinant of the matrix
-    summed at those points (`_pattern_sum`) is the full determinant
-    restricted, univariate in s.  A rational root gives a base-field witness;
-    a rootless quadratic gives a witness in the corresponding quadratic
-    extension.  Only a restriction that vanishes identically, or no witness
-    (and every field but Q), calls `full_det`: an identically zero
-    determinant is witnessed by zero points instead.
+    Pattern (m, j): repeat a unit point e_m and perturb the last point to
+    e_m + s e_j for a single coordinate s.  At those points p_k(v) is 0 when
+    k uses a variable outside {x_m, x_j}, s^{k_j} when k_j > 0 and count
+    otherwise, so det G (`_generic_sum`) at lam = p(v) is the full
+    determinant restricted, univariate in s.  A rational root gives a
+    base-field witness; a rootless quadratic gives a witness in the
+    corresponding quadratic extension.  Only a restriction that vanishes
+    identically, or no witness (and every field but Q), calls `full_det`: an
+    identically zero determinant is witnessed by zero points instead.
     """
-    n = jf.nvars
-    field = jf.field
+    field = det.field
     zeros = field, [[field.zero()] * n for _ in range(count)]
     for m in range(n if field.is_rational else 0):
         for j in range(n):
             if j == m:
                 continue
-            restricted = matrix_det(_pattern_sum(jf, count, m, j))
+            restricted = det.substitute([
+                0 if any(e for i, e in enumerate(k) if i not in (m, j)) else
+                MultiPoly(field, 1, {(k[j],): field.one()}) if k[j] else count
+                for k in monomials], nvars=1)
             if restricted.is_zero():
                 if full_det().is_zero():
                     return zeros
@@ -296,36 +291,35 @@ def check_sum_condition(map_: PolyMap, count: int, label: str = "sum_condition")
     count = deg F - 1 realizes the deg-1-point condition, count = n the
     full condition.  Since the field is infinite and algebraically closed
     points are allowed, a non-constant symbolic determinant means failure.
+    The decider is chain_report's `_decide_sum`.
     """
     if not map_.is_square:
         raise ValueError("sum condition needs a square map")
     if count < 1:
         raise ValueError("need at least one substitution point")
-    return _sum_condition(jacobian(map_), count, label)
+    return PropertyReport().record(label, *_decide_sum(_MapAnalysis(map_), count))
 
 
-def _sum_condition(jf: PolyMatrix, count: int, label: str) -> PropertyReport:
-    """det G (`_generic_sum`) for holds, then the point patterns for fails; the
-    determinant in n + count n variables is built once, when asked for."""
-    report = PropertyReport()
+def _sum_condition(jf: PolyMatrix, count: int):
+    """(verdict, witness, note): det G (`_generic_sum`) for holds, then the point
+    patterns for fails; the determinant in n + count n variables is built once,
+    when asked for."""
     full_det = cache(lambda: matrix_det(_fresh_copies(jf, count, operator.add)))
-    det = matrix_det(_generic_sum(jf, count))
+    g, monomials = _generic_sum(jf, count)
+    det = matrix_det(g)
     if not det.is_constant() or det.is_zero():
-        found = _point_witness(jf, count, full_det)
+        found = _point_witness(det, monomials, jf.nvars, count, full_det)
         if found is not None:
             field, points = found
             if not _sum_vanishes_at(jf, field, points):
                 raise ArithmeticError("witness points failed re-verification")
-            witness = {"kind": "points", "field": field, "points": points}
-            return report.record(label, FAILS, witness=witness,
-                                 note="determinant vanishes at the witness points")
+            return (FAILS, {"kind": "points", "field": field, "points": points},
+                    "determinant vanishes at the witness points")
         det = full_det()
     if det.is_constant() and not det.is_zero():
-        return report.record(label, HOLDS,
-                             note=f"determinant is the constant {det.constant_value()!r}")
-    witness = {"kind": "symbolic_determinant", "determinant": det}
-    return report.record(label, FAILS, witness=witness,
-                         note="determinant is not a nonzero constant")
+        return HOLDS, None, f"determinant is the constant {det.constant_value()!r}"
+    return (FAILS, {"kind": "symbolic_determinant", "determinant": det},
+            "determinant is not a nonzero constant")
 
 
 def strong_nilpotence_product(map_: PolyMap, count: int | None = None) -> PolyMatrix:
@@ -345,20 +339,14 @@ def is_strongly_nilpotent(map_: PolyMap) -> PropertyReport:
     """Does every product of n copies of JH at independent points vanish?
 
     Decided by the flag of constant coefficient matrices (see
-    `_strong_nilpotence_flag`).  On failure the witness is a word of n
-    exponent vectors with the nonzero image of one unit vector under it.
+    `_strong_nilpotence_flag`), through chain_report's `_decide_word`.  On
+    failure the witness is a word of n exponent vectors with the nonzero
+    image of one unit vector under it.
     """
     if not map_.is_square:
         raise ValueError("strong nilpotence needs a square map")
-    return _strong_report(_strong_nilpotence_flag(jacobian(map_))[1])
-
-
-def _strong_report(word) -> PropertyReport:
-    report = PropertyReport()
-    if word is None:
-        return report.record("strong_nilpotent", HOLDS)
-    return report.record("strong_nilpotent", FAILS, witness=word,
-                         note="a word of n coefficient matrices of JH is nonzero")
+    return PropertyReport().record("strong_nilpotent",
+                                   *_decide_word(_MapAnalysis(plus_identity(map_))))
 
 
 def _coefficient_matrices(jac: PolyMatrix, ring) -> dict:
@@ -675,46 +663,30 @@ def _single_term_certificate(map_: PolyMap):
     """In dimension 2 the n-1 = 1 term forms are decidable exhaustively.
 
     A single-term decomposition H = (c^t x)^d b is unique up to the
-    normalization of c, so matching against the detected pure power and
-    checking c^t b = 0 is a complete test.  H must be nonzero.
+    normalization of c: H = g v (`_span_generator`) with g = lam (c^t x)^d
+    gives b = lam v, and checking c^t b = 0 is a complete test.  H must be
+    nonzero.
     """
-    field = map_.field
-    base = next(comp for comp in map_.components if not comp.is_zero())
-    detected = is_pure_power(base)
+    line = _span_generator(map_)
+    detected = None if line is None else is_pure_power(line[0])
     if detected is None:
         return None
     form, d, lam = detected
-    lead = max(base.terms)
-    ratios = []
-    for comp in map_.components:
-        if comp.is_zero():
-            ratios.append(field.zero())
-            continue
-        # comp must be a constant multiple of base
-        if comp.degree() != base.degree() or lead not in comp.terms:
-            return None
-        ratio = comp.terms[lead] / base.terms[lead]
-        if comp != base * ratio:
-            return None
-        ratios.append(ratio)
-    b = [lam * r for r in ratios]
-    cert = StarCertificate("doublestar", [(form, d, b)])
-    if certificate_failure(map_, cert) is not None:
-        return None
-    return cert
+    cert = StarCertificate("doublestar", [(form, d, [lam * v for v in line[1]])])
+    return cert if certificate_failure(map_, cert) is None else None
 
 
 def _span_generator(map_: PolyMap):
-    """The generator of the components' span, normalized to 1 at its smallest
-    monomial, when that span is a line; None otherwise.  H must be nonzero."""
-    first, *rest = (comp for comp in map_.components if not comp.is_zero())
+    """(g, v) with H = g v and g normalized to 1 at its smallest monomial, when
+    the components' span is a line; None otherwise.  H must be nonzero."""
+    first = next(comp for comp in map_.components if not comp.is_zero())
     low = min(first.terms)
     generator = first * first.terms[low].inverse()
-    for comp in rest:
-        coeff = comp.terms.get(low)
-        if coeff is None or comp != generator * coeff:
-            return None
-    return generator
+    v = [comp.terms.get(low, map_.field.zero()) for comp in map_.components]
+    if any(not comp.is_zero() and (c.is_zero() or comp != generator * c)
+           for comp, c in zip(map_.components, v)):
+        return None
+    return generator, v
 
 
 def _decide_level_oracle(map_: PolyMap, level: str):
@@ -735,9 +707,9 @@ def _decide_level_oracle(map_: PolyMap, level: str):
         return (HOLDS, {"kind": "certificate", "certificate": cert.with_level(level)},
                 "single-term oracle")
     if level == "triplestar":
-        generator = _span_generator(map_)
-        if generator is not None and is_pure_power(generator) is None:
-            return (FAILS, {"kind": "span_generator", "generator": generator},
+        line = _span_generator(map_)
+        if line is not None and is_pure_power(line[0]) is None:
+            return (FAILS, {"kind": "span_generator", "generator": line[0]},
                     "component-span oracle: with independent b_i every form power lies in "
                     "the span, but its generator is not a power of a linear form")
     return UNDECIDED, None, "no verifying certificate; outside the oracles"
@@ -746,14 +718,15 @@ def _decide_level_oracle(map_: PolyMap, level: str):
 # -- the aggregated chain ------------------------------------------------------
 
 class _MapAnalysis:
-    """The per-map objects that the checks of one chain_report call share.
+    """The per-map objects that the deciders of one chain_report call share.
 
     Each object is built on first use, so a call restricted to one check
     builds only what that check reads.
     """
 
-    def __init__(self, map_: PolyMap):
+    def __init__(self, map_: PolyMap, cert: StarCertificate | None = None):
         self.map = map_
+        self.cert = cert
         self.h = nonlinear_part(map_)
 
     @cached_property
@@ -784,37 +757,94 @@ class _MapAnalysis:
         return self.strongly_nilpotent or self.quasi
 
 
-def _exhibit_inverse(shared: _MapAnalysis):
-    """Try to exhibit an inverse: quasi-translation, direct triangular
+# Each decider maps a _MapAnalysis to (verdict, witness, note).
+
+def _decide_keller(shared: _MapAnalysis):
+    det = None if shared.unipotent else matrix_det(shared.jf)
+    if det is None or (det.is_constant() and not det.is_zero()):
+        return HOLDS, None, None
+    return FAILS, {"kind": "symbolic_determinant", "determinant": det}, None
+
+
+def _decide_nilpotent(shared: _MapAnalysis):
+    power = None if shared.unipotent else shared.jh.power(shared.map.nvars)
+    if power is None or power.is_zero():
+        return HOLDS, None, None
+    return FAILS, _entry_witness(power), "JH^n has a nonzero entry"
+
+
+def _decide_quasi(shared: _MapAnalysis):
+    if shared.quasi:
+        return HOLDS, None, None
+    return FAILS, _quasi_witness(shared.h), "H(x - H) - H is nonzero"
+
+
+def _decide_jc_minus(shared: _MapAnalysis):
+    """Holds with an exhibited inverse: quasi-translation, direct triangular
     inversion, or inversion of T^{-1} F(Tx) for the flag's T."""
     map_ = shared.map
     if shared.quasi:
         inverse = PolyMap.identity(map_.field, map_.nvars) - shared.h
-        return inverse, "quasi-translation: x - H inverts x + H"
-    if shared.jh.is_lower_triangular(strict=True):
-        return invert_triangular(map_), "forward substitution on the triangular form"
-    t_matrix = shared.flag[0]
-    if t_matrix is not None:
-        grid, inv = conjugation_grids(t_matrix, map_.field, map_.nvars)
+        how = "quasi-translation: x - H inverts x + H"
+    elif shared.jh.is_lower_triangular(strict=True):
+        inverse, how = invert_triangular(map_), "forward substitution on the triangular form"
+    elif shared.strongly_nilpotent:
+        grid, inv = conjugation_grids(shared.flag[0], map_.field, map_.nvars)
         # F^{-1} = T G^{-1}(T^{-1} x) for the triangular G = T^{-1} F(Tx)
         inverse = change_basis(invert_triangular(change_basis(map_, grid, inv)), inv, grid)
-        return inverse, "inverted after triangularization by the strong-nilpotence flag"
-    return None
+        how = "inverted after triangularization by the strong-nilpotence flag"
+    else:
+        return UNDECIDED, None, "no inverse exhibited"
+    return HOLDS, {"kind": "inverse_map", "map": inverse}, how
+
+
+def _decide_sum(shared: _MapAnalysis, count: int):
+    if shared.strongly_nilpotent:
+        # T^-1 (sum of JH at the points) T is strictly triangular: det = count^n
+        n = shared.map.nvars
+        return HOLDS, None, f"determinant is the constant {shared.map.field.scalar(count) ** n!r}"
+    return _sum_condition(shared.jf, count)
+
+
+def _decide_word(shared: _MapAnalysis):
+    word = shared.flag[1]
+    if word is None:
+        return HOLDS, None, None
+    return FAILS, word, "a word of n coefficient matrices of JH is nonzero"
+
+
+def _decide_level(shared: _MapAnalysis, level: str):
+    h, cert = shared.h, shared.cert
+    if cert is not None and verify_star_certificate(h, cert, level=level):
+        return HOLDS, {"kind": "certificate", "certificate": cert}, None
+    if level != "star":
+        return _decide_level_oracle(h, level)
+    if h.vanishes_at_origin():
+        return HOLDS if shared.strongly_nilpotent else FAILS, shared.flag[1], None
+    return UNDECIDED, None, "H(0) != 0: only the triangularizability reading applies"
+
+
+# Run order: jc_minus, whose inverse is the largest object a report keeps, runs late.
+_DECIDERS = {
+    "keller": _decide_keller,
+    "nilpotent": _decide_nilpotent,
+    "quasi": _decide_quasi,
+    "jc": lambda shared: _decide_sum(shared, max(shared.map.degree() - 1, 1)),
+    "jc_plus": lambda shared: _decide_sum(shared, shared.map.nvars),
+    "strong_nilpotent": _decide_word,
+    "jc_minus": _decide_jc_minus,
+    **{level: partial(_decide_level, level=level) for level in LEVELS},
+}
 
 
 def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
                  checks=None) -> PropertyReport:
     """Run the condition chain on F = x + H and aggregate the verdicts.
 
-    `checks` restricts the work to a subset of CHAIN_CONDITIONS.  H, JH,
-    JF = I + JH, the quasi-translation test JH H = 0 and the strong-nilpotence
-    flag are each computed at most once per call, and only for the checks
-    that read them.  When the flag holds, keller, nilpotent, jc, jc_plus,
-    strong_nilpotent and star read their verdict from it, and jc_minus
-    inverts the triangularized map.  The stronger forms hold only with a
-    verifying certificate or through the desk-scale oracles, and the
-    invertibility condition holds only when an inverse is actually
-    exhibited; neither is ever decided negative beyond the sound oracles.
+    `checks` restricts the work to a subset of CHAIN_CONDITIONS; each one is
+    recorded from its decider (module docstring).  H, JH, JF = I + JH, the
+    quasi-translation test JH H = 0 and the strong-nilpotence flag are each
+    computed at most once per call, and only for the checks that read them.
     """
     if not map_.is_square:
         raise ValueError("chain analysis needs a square map F = x + H")
@@ -822,61 +852,9 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
     unknown = wanted.difference(CHAIN_CONDITIONS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    shared = _MapAnalysis(map_)
-    h = shared.h
-    n = map_.nvars
+    shared = _MapAnalysis(map_, cert)
     report = PropertyReport()
-
-    if "keller" in wanted:
-        det = None if shared.unipotent else matrix_det(shared.jf)
-        if det is None or (det.is_constant() and not det.is_zero()):
-            report.record("keller", HOLDS)
-        else:
-            report.record("keller", FAILS,
-                          witness={"kind": "symbolic_determinant", "determinant": det})
-    if "nilpotent" in wanted:
-        power = None if shared.unipotent else shared.jh.power(n)
-        if power is None or power.is_zero():
-            report.record("nilpotent", HOLDS)
-        else:
-            report.record("nilpotent", FAILS, witness=_entry_witness(power),
-                          note="JH^n has a nonzero entry")
-    if "quasi" in wanted:
-        if shared.quasi:
-            report.record("quasi", HOLDS)
-        else:
-            report.record("quasi", FAILS, witness=_quasi_witness(h),
-                          note="H(x - H) - H is nonzero")
-    for label, count in (("jc", max(map_.degree() - 1, 1)), ("jc_plus", n)):
-        if label not in wanted:
-            continue
-        if shared.strongly_nilpotent:
-            # T^-1 (sum of JH at the points) T is strictly triangular: det = count^n
-            report.record(label, HOLDS,
-                          note=f"determinant is the constant {map_.field.scalar(count) ** n!r}")
-        else:
-            report.merge(_sum_condition(shared.jf, count, label))
-    if "strong_nilpotent" in wanted:
-        report.merge(_strong_report(shared.flag[1]))
-    if "jc_minus" in wanted:
-        exhibited = _exhibit_inverse(shared)
-        if exhibited is not None:
-            inverse, how = exhibited
-            report.record("jc_minus", HOLDS,
-                          witness={"kind": "inverse_map", "map": inverse}, note=how)
-        else:
-            report.record("jc_minus", UNDECIDED, note="no inverse exhibited")
-    for level in LEVELS:
-        if level not in wanted:
-            continue
-        if cert is not None and verify_star_certificate(h, cert, level=level):
-            report.record(level, HOLDS, witness={"kind": "certificate", "certificate": cert})
-        elif level == "star" and h.vanishes_at_origin():
-            report.record("star", HOLDS if shared.strongly_nilpotent else FAILS,
-                          witness=shared.flag[1])
-        elif level == "star":
-            report.record("star", UNDECIDED,
-                          note="H(0) != 0: only the triangularizability reading applies")
-        else:
-            report.record(level, *_decide_level_oracle(h, level))
+    for name, decide in _DECIDERS.items():
+        if name in wanted:
+            report.record(name, *decide(shared))
     return report

@@ -6,7 +6,7 @@ polynomials under one assignment and the batched triangular inverse;
 partial derivatives on coordinates; powers of affine forms (the
 multinomial expansion in `MultiPoly.__pow__`), `is_pure_power` by one
 expansion, the orthogonality test on numerators, the component-span generator
-and the strong-nilpotence word re-check.
+and the single-term oracle built on it, and the strong-nilpotence word re-check.
 """
 
 import math
@@ -24,7 +24,8 @@ from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact, is_pure_po
                                  substitute_all, sums_of_products)
 from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, invert_triangular, jacobian,
                                linear_combinations, map_compose, matrix_det, plus_identity)
-from kellerlab.properties import (StarCertificate, _orthogonality_failure, _span_generator,
+from kellerlab.properties import (StarCertificate, _orthogonality_failure,
+                                  _single_term_certificate, _span_generator,
                                   _strong_nilpotence_flag, certificate_failure)
 
 # Q, two cyclotomic fields, a non-integral fold t^2 = -9/2 and the ring Q[t]/(t^2)
@@ -583,10 +584,65 @@ def test_span_generator_matches_rref_fuzz():
         got = _span_generator(map_)
         if len(basis) == 1:
             lines += 1
-            assert got is not None and got.terms == basis[0].terms
+            assert got is not None and got[0].terms == basis[0].terms
+            generator, v = got
+            assert [generator * c for c in v] == list(map_.components)
         else:
             assert got is None
     assert 60 < lines < 190
+
+
+def _ratio_single_term_certificate(map_):
+    """The single-term oracle before it read H = g v off `_span_generator`:
+    b is lam times the ratio of each component to the first nonzero one."""
+    base = next(comp for comp in map_.components if not comp.is_zero())
+    detected = is_pure_power(base)
+    if detected is None:
+        return None
+    form, d, lam = detected
+    lead = max(base.terms)
+    ratios = []
+    for comp in map_.components:
+        if comp.is_zero():
+            ratios.append(map_.field.zero())
+            continue
+        if comp.degree() != base.degree() or lead not in comp.terms:
+            return None
+        ratio = comp.terms[lead] / base.terms[lead]
+        if comp != base * ratio:
+            return None
+        ratios.append(ratio)
+    cert = StarCertificate("doublestar", [(form, d, [lam * r for r in ratios])])
+    return cert if certificate_failure(map_, cert) is None else None
+
+
+def test_single_term_certificate_matches_ratio_oracle_fuzz():
+    # n = 2 maps: rank one or not, a pure power or not, b orthogonal to c or not
+    rng = random.Random(1996)
+    outcomes = set()
+    for trial in range(240):
+        field = _FIELDS[trial % len(_FIELDS)]
+        c = [_random_element(rng, field, 0.2) for _ in range(2)]
+        if all(v.is_zero() for v in c):
+            continue
+        power = LinearForm(field, c).to_poly() ** rng.randint(1, 4)
+        base = power * _random_element(rng, field, 0) if trial % 3 else \
+            power + _random_poly(rng, field, 2)
+        if trial % 4 == 3:  # orthogonal: (c^t x)^d b with c^t b = 0
+            r = _random_element(rng, field, 0)
+            b = [c[1] * r, -c[0] * r]
+        else:
+            b = [_random_element(rng, field, 0.3) for _ in range(2)]
+        comps = [base * v for v in b]
+        if trial % 5 == 4:
+            comps[rng.randrange(2)] += _random_poly(rng, field, 2)
+        if all(comp.is_zero() for comp in comps):
+            continue
+        map_ = PolyMap(comps)
+        got = _single_term_certificate(map_)
+        assert got == _ratio_single_term_certificate(map_), (trial, map_)
+        outcomes.add((got is not None, _span_generator(map_) is not None))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 # -- the strong-nilpotence word re-check ---------------------------------------

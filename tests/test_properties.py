@@ -624,6 +624,64 @@ def test_hidden_families_keep_their_verdicts(spec):
     assert chain_report(plus_identity(hidden), checks=_FLAG_CHECKS).conditions == plain
 
 
+def _triple(report, name):
+    return report.verdict(name), report.witness(name), report.notes.get(name)
+
+
+@pytest.mark.parametrize("spec", _SMALLEST, ids=lambda spec: spec.kind)
+def test_public_checks_agree_with_chain_report(spec):
+    # a public check and a one-check chain_report call record the condition
+    # from the same decider; where the flag holds, check_sum_condition reads
+    # count^n off it, which must be the note det G gives
+    from kellerlab.properties import _MapAnalysis, _sum_condition
+
+    h = make_family(spec)
+    for hmap in (h, conjugate(h, _mix_first_and_last(h.nvars, h.field))):
+        f = plus_identity(hmap)
+        counts = {"jc": max(f.degree() - 1, 1), "jc_plus": f.nvars}
+        public = {check: check_sum_condition(f, count, label=check)
+                  for check, count in counts.items()}
+        public["strong_nilpotent"] = is_strongly_nilpotent(hmap)
+        for check, report in public.items():
+            assert _triple(report, check) == _triple(chain_report(f, checks=[check]), check)
+        assert is_quasi_translation(f) == (_verdict(f, "quasi") == HOLDS)
+        if _MapAnalysis(f).strongly_nilpotent:
+            for check, count in counts.items():
+                assert _triple(public[check], check) == _sum_condition(jacobian(f), count)
+
+
+def test_one_check_builds_only_what_it_reads(monkeypatch):
+    # `analyze` on one check builds only the per-map objects its decider reads
+    import collections
+
+    from kellerlab import properties
+
+    assert sorted(properties._DECIDERS) == sorted(CHAIN_CONDITIONS)  # one decider each
+    calls = collections.Counter()
+    for name in ("_strong_nilpotence_flag", "_quasi", "matrix_det"):
+        def counted(*args, _name=name, _original=getattr(properties, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(properties, name, counted)
+
+    def built(h, check):
+        calls.clear()
+        chain_report(plus_identity(h), checks=[check])
+        return {name for name, count in calls.items() if count}
+
+    def hidden(kind, d):
+        h = make_family(FamilySpec(kind, d))
+        return conjugate(h, _mix_first_and_last(h.nvars, h.field))
+
+    n4, n5, f666 = hidden("n4", 3), hidden("n5", 2), hidden("f666", 2)
+    for h in (n4, n5, f666):  # quasi-translation, neither, strongly nilpotent
+        assert built(h, "quasi") == {"_quasi"}
+        assert built(h, "strong_nilpotent") == built(h, "star") == {"_strong_nilpotence_flag"}
+    assert built(f666, "keller") == {"_strong_nilpotence_flag"}
+    assert built(n4, "jc_minus") == {"_quasi"}
+    assert built(n5, "keller") == {"_strong_nilpotence_flag", "_quasi", "matrix_det"}
+
+
 def test_jc_plus_and_jc_minus_hold_on_hidden_full_size_f666():
     h = make_family(FamilySpec("f666", 2))
     assert h.nvars == 6
@@ -1133,7 +1191,7 @@ def _assert_sum_condition_agrees(f, count, outcomes):
     from kellerlab.properties import _sum_condition
 
     jf = jacobian(f)
-    got = _sum_condition(jf, count, "jc")
+    got = PropertyReport().record("jc", *_sum_condition(jf, count))
     expected = _reference_sum_condition(jf, count, "jc")
     assert (got.conditions, got.witnesses, got.notes) == \
         (expected.conditions, expected.witnesses, expected.notes), (count, f)
