@@ -42,11 +42,10 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
   change of basis of `quasi_test_q`, the `jc` check's determinant;
 - `sum_condition_conj_n4_d3`: the `jc` decision (`properties._sum_condition`
   at 2 points) for the map of `quasi_test_q`, which fails with a point witness;
-- `adapted_basis_f666_d4`: the flag's basis routine `properties._adapted_basis`
+- `adapted_basis_f666_d4`: the flag's basis routine `linalg.adapted_basis`
   on the b vectors of the f666 certificate at d = 4 (n = 10) moved by the
   inverse of the change of basis of `change_basis_f666_d4` (b -> T^-1 b),
-  last first, as flat integer vectors, the way `triangularization_from_certificate`
-  feeds it;
+  last first, the way `triangularization_from_certificate` feeds it;
 - `adapted_basis_f667_d5`: the same routine on the b vectors of the f667
   certificate at d = 5 (n = 12, 15 triples) over Q(zeta_5), where every
   vector has four rational coordinates per entry;
@@ -78,7 +77,7 @@ from kellerlab import linalg, properties, serialize  # noqa: E402
 from kellerlab.constructions import (FamilySpec, family_certificate, gz_example,  # noqa: E402
                                      make_family)
 from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
-from kellerlab.multipoly import (LinearForm, MultiPoly, _numerators, divide_exact,  # noqa: E402
+from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact,  # noqa: E402
                                  is_pure_power, variables)
 from kellerlab.polymap import (PolyMatrix, change_basis, conjugate,  # noqa: E402
                                invert_triangular, jacobian, linear_combinations, matrix_det,
@@ -155,12 +154,6 @@ _HIDING = {
 }
 
 
-def _chain(vectors):
-    """Vectors of Scalars as the (denominator, flat integer numerators) pairs that
-    `properties._adapted_basis` reads."""
-    return [(den, sum(coords, [])) for den, coords in map(_numerators, vectors)]
-
-
 def _hidden_family(kind, d, n=None):
     h = make_family(FamilySpec(kind, d, n=n))
     return conjugate(h, PolyMatrix.from_scalars(h.field, h.nvars, _HIDING[kind, d, n]))
@@ -193,10 +186,10 @@ def kernels():
     f666_t = [[QQ.scalar(v) for v in row] for row in _HIDING["f666", 4, None]]
     f666_t_inv = linalg.invert(f666_t, QQ)
     n4_jf = jacobian(n4_f)
-    f666_chain = _chain(linear_combinations(f666_t_inv, b, QQ.zero())
-                        for _, _, b in reversed(family_certificate(FamilySpec("f666", 4)).triples))
+    f666_b = [linear_combinations(f666_t_inv, b, QQ.zero())
+              for _, _, b in reversed(family_certificate(FamilySpec("f666", 4)).triples)]
     f667_cert = family_certificate(FamilySpec("f667", 5))
-    f667_chain = _chain(b for _, _, b in reversed(f667_cert.triples))
+    f667_b = [b for _, _, b in reversed(f667_cert.triples)]
     f666_d5_report = serialize.report_to_json(
         properties.chain_report(plus_identity(make_family(FamilySpec("f666", 5)))))
     return [
@@ -221,9 +214,9 @@ def kernels():
         ("matrix_power_q", lambda: n5_jh.power(5), 10),
         ("sum_condition_det_q", lambda: matrix_det(n4_sum), 2),
         ("sum_condition_conj_n4_d3", lambda: properties._sum_condition(n4_jf, 2), 5),
-        ("adapted_basis_f666_d4", lambda: properties._adapted_basis(f666_chain, QQ, 10), 20),
+        ("adapted_basis_f666_d4", lambda: linalg.adapted_basis(QQ, 10, f666_b), 20),
         ("adapted_basis_f667_d5",
-         lambda: properties._adapted_basis(f667_chain, f667_cert.field, f667_cert.nvars), 10),
+         lambda: linalg.adapted_basis(f667_cert.field, f667_cert.nvars, f667_b), 10),
         ("change_basis_f666_d4", lambda: change_basis(f666_hidden, f666_t_inv, f666_t), 2),
         ("report_dumps_f666_d5", lambda: serialize.dumps(f666_d5_report), 2),
     ]

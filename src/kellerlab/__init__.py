@@ -11,9 +11,8 @@ from .exactfield import Field, QQ, Scalar, cyclotomic
 from .multipoly import (LinearForm, MultiPoly, divide_exact, extend_variables,
                         is_pure_power, lift_to_field, rename_variables, variables)
 from .polymap import (PolyMap, PolyMatrix, conjugate, hadamard_power_map,
-                      homogenize, invert_triangular, jacobian, map_compose,
-                      matrix_det, matrix_is_nilpotent, matrix_rank,
-                      nonlinear_part, plus_identity)
+                      invert_triangular, jacobian, map_compose, matrix_det,
+                      matrix_is_nilpotent, matrix_rank, nonlinear_part, plus_identity)
 from .properties import (FAILS, HOLDS, UNDECIDED, PropertyReport,
                          StarCertificate, certificate_failure,
                          certificate_from_triangularization, chain_report,

@@ -1,23 +1,28 @@
 """Exact linear algebra on small matrices of field scalars.
 
-Matrices are plain lists of lists of Scalar.  The public routines run full
-Gauss-Jordan over the field; matrix sizes stay tiny throughout the package.
+Matrices are plain lists of lists of Scalar.  rref, rank, nullspace and the
+inverses run full Gauss-Jordan over the field; matrix sizes stay tiny
+throughout the package.
 
-The strong-nilpotence flag and its adapted basis run on flat integer vectors
-instead: over K = Q(t) of degree e, a vector of K^n is (den, n e integers), a
-matrix acts by its regular representation (sparse integer triples on Q^{n e}),
-and K-independence is fraction-free elimination over Q with the t-multiples of
-each kept vector.
+The strong-nilpotence flag (`flag`) and its adapted basis (`adapted_basis`)
+take and return Scalars too, and are the only users of flat integer
+vectors: over K = Q(t) of degree e, a vector of K^n is
+(den, n e integers), a matrix acts by its regular representation (sparse
+integer triples on Q^{n e}), and K-independence is fraction-free elimination
+over Q with the t-multiples of each kept vector.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .exactfield import Field, Scalar
+from .multipoly import _numerators
 
-__all__ = ["rref", "rank", "nullspace", "invert", "right_inverse", "identity_grid"]
+__all__ = ["rref", "rank", "nullspace", "invert", "right_inverse", "identity_grid",
+           "flag", "adapted_basis"]
 
 
 def identity_grid(field: Field, n: int):
@@ -101,10 +106,77 @@ def right_inverse(rows, field: Field):
     return out
 
 
+def flag(field: Field, n: int, entries: dict):
+    """(T, None) when the n x n matrices A_m are strongly nilpotent, else
+    (None, (word, j, image)) with image = A_{m_1} ... A_{m_n} e_j nonzero.
+
+    `entries` holds by key m the entries (row, col, Scalar) of A_m, keys
+    tried in its order.  Level k of the flag keeps, in image order, each image
+    of a level k - 1 vector K-independent of those kept (`_extends`), up to
+    the size of level k - 1; T, a grid of Scalars, runs through the levels
+    deepest last, so every T^{-1} A_m T is strictly lower triangular.  The
+    word is re-checked on the entries themselves."""
+    ring, e = _ring(field), field.degree
+    mats = _regular(ring, entries)
+    levels = [[((), j, (1, [int(k == j * e) for k in range(n * e)])) for j in range(n)]]
+    for _ in range(n):
+        images = (((m,) + word, j, _image(mat, v))
+                  for word, j, v in levels[-1] for m, mat in mats.items())
+        level, basis = [], []
+        for word, j, image in images:
+            if _extends(ring, basis, image[1]):
+                level.append((word, j, image))
+                if len(level) == len(levels[-1]):
+                    break
+        if not level:
+            deepest_first = [v for step in reversed(levels[1:]) for _, _, v in step]
+            return _adapted_basis(field, n, deepest_first), None
+        levels.append(level)
+    word, j, image = levels[-1][0]
+    _recheck_word(field, n, entries, word, j, image)
+    return None, (word, j, _scalars(field, image))
+
+
+def adapted_basis(field: Field, n: int, vectors) -> list:
+    """An invertible T, a grid of Scalars, whose last columns span vectors[:k]
+    for every k: the vectors, then the unit vectors, are picked in order when
+    K-independent of those picked before (`_extends`), and the columns of T are
+    the picked unit vectors, ascending, then the picked vectors in reverse."""
+    return _adapted_basis(field, n, [(den, sum(coords, []))
+                                     for den, coords in map(_numerators, vectors)])
+
+
+def _adapted_basis(field: Field, n: int, chain) -> list:
+    """`adapted_basis` on flat vectors (den, coords)."""
+    ring, e = _ring(field), field.degree
+    vectors = chain + [(1, [int(k == j * e) for k in range(n * e)]) for j in range(n)]
+    basis, picked = [], []
+    for k, (_, coords) in enumerate(vectors):
+        if len(picked) < n and _extends(ring, basis, coords):
+            picked.append(k)
+    cols = [_scalars(field, vectors[p]) for p in picked if p >= len(chain)] + \
+        [_scalars(field, vectors[p]) for p in reversed(picked) if p < len(chain)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
 def _ring(field: Field):
     """(e, s, [(i, c_i)]): t^e = sum_i c_i t^i / s in K = Q(t), with integers c_i."""
     s = math.lcm(*(c.denominator for _, c in field.fold))
     return field.degree, s, [(i, int(c * s)) for i, c in field.fold]
+
+
+def _regular(ring, entries: dict) -> dict:
+    """By key m, the regular representation (D, [(row, col, a)]) of A_m, its
+    Q-linear map on Q^{n e}, as integers a over one denominator D for all m."""
+    (e, s, _), mats = ring, {m: [] for m in entries}
+    items = [(m, i, j, a) for m, triples in entries.items() for i, j, a in triples]
+    den, coords = _numerators([a for *_, a in items])
+    for (m, i, j, _), a in zip(items, coords):
+        for l in range(e):  # column l of the block is t^l a, over den s^l
+            a = _times_t(ring, a) if l else a
+            mats[m].extend((i * e + r, j * e + l, x * s ** (e - 1 - l))
+                           for r, x in enumerate(a) if x)
+    return {m: (den * s ** (e - 1), mat) for m, mat in mats.items()}
 
 
 def _times_t(ring, vec) -> list:
@@ -153,6 +225,21 @@ def _extends(ring, basis: list, v) -> bool:
             return False
         basis.append((pivot, v))
     return True
+
+
+def _recheck_word(field: Field, n: int, entries: dict, word, j: int, image):
+    """Raise unless A_{m_1} ... A_{m_n} e_j is the nonzero flat `image`, computed
+    again from the entries' own integer numerators, one `Field.times` each."""
+    (den, flat), e = image, field.degree
+    scale, check = 1, [[int(i == j)] + [0] * (e - 1) for i in range(n)]
+    for m in reversed(word):
+        step, coords = _numerators([a for *_, a in entries[m]])
+        out = [[0] * e for _ in range(n)]
+        for (row, col, _), a in zip(entries[m], coords):
+            out[row] = list(map(operator.add, out[row], field.times(a, check[col])))
+        scale, check = scale * step, out
+    if not any(flat) or any(x * den != y * scale for x, y in zip(sum(check, []), flat)):
+        raise ArithmeticError("strong-nilpotence word failed re-verification")
 
 
 def _scalars(field: Field, vec):

@@ -26,7 +26,6 @@ __all__ = [
     "matrix_det",
     "matrix_rank",
     "matrix_is_nilpotent",
-    "homogenize",
     "invert_triangular",
 ]
 
@@ -400,26 +399,6 @@ def matrix_is_nilpotent(matrix: PolyMatrix) -> bool:
     if not matrix.is_square:
         raise ValueError("nilpotency of a non-square matrix")
     return matrix.power(matrix.rows).is_zero()
-
-
-def homogenize(map_: PolyMap, d: int) -> PolyMap:
-    """Degree-d homogenization with one extra variable and a zero last component.
-
-    Each term of total degree m picks up the factor x_{n+1}^(d-m), so the
-    result is a square (n+1)-map, homogeneous of degree d.
-    """
-    if map_.degree() > d:
-        raise ValueError("map degree exceeds the homogenization degree")
-    field = map_.field
-    n = map_.nvars
-    comps = []
-    for comp in map_.components:
-        terms = {}
-        for exps, coeff in comp.terms.items():
-            terms[exps + (d - sum(exps),)] = coeff
-        comps.append(MultiPoly(field, n + 1, terms))
-    comps.append(MultiPoly.zero(field, n + 1))
-    return PolyMap(comps)
 
 
 def invert_triangular(map_: PolyMap) -> PolyMap:

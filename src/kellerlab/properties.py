@@ -29,9 +29,7 @@ The flag: JH = sum_m x^m A_m is strongly nilpotent, which is linear
 triangularizability (van den Essen and Hubbers, JPAA 110, 1996), exactly when
 W_0 = K^n, W_{k+1} = sum_m A_m W_k reaches 0; a basis adapted to it is a T
 with T^{-1} H(Tx) strictly triangular, and otherwise a nonzero word of n
-matrices A_m is the witness.  It runs on flat integer vectors of
-K^n = Q^{n e}, e = [K : Q], with each A_m as its regular representation
-(`_strong_nilpotence_flag`, `linalg`).
+matrices A_m is the witness (`_strong_nilpotence_flag`, `linalg.flag`).
 
 JH H = 0 exactly when x + H is a quasi-translation, H(x - H) = H (de Bondt,
 Proc. AMS 134, 2006): H is then constant along the flow x + tH of the vector
@@ -63,7 +61,6 @@ from itertools import repeat
 
 from . import linalg
 from .exactfield import Field, Scalar, rational_roots
-from .linalg import _extends, _image, _ring, _scalars, _times_t
 from .multipoly import (LinearForm, MultiPoly, _numerators, is_pure_power,
                         lift_to_field, rename_variables, sums_of_products)
 from .polymap import (PolyMap, PolyMatrix, change_basis, conjugation_grids, jacobian,
@@ -130,12 +127,6 @@ class PropertyReport:
         if len(self.conditions) != 1:
             raise ValueError("report covers more than one condition")
         return next(iter(self.conditions.values()))
-
-    def merge(self, other: "PropertyReport") -> "PropertyReport":
-        self.conditions.update(other.conditions)
-        self.witnesses.update(other.witnesses)
-        self.notes.update(other.notes)
-        return self
 
     def __repr__(self):
         body = ", ".join(f"{k}={v}" for k, v in sorted(self.conditions.items()))
@@ -349,87 +340,24 @@ def is_strongly_nilpotent(map_: PolyMap) -> PropertyReport:
                                    *_decide_word(_MapAnalysis(plus_identity(map_))))
 
 
-def _coefficient_matrices(jac: PolyMatrix, ring) -> dict:
-    """JH = sum_m x^m A_m: by m, the regular representation (D, [(row, col, a)]) of
-    A_m, its Q-linear map on Q^{n e}, as integers a over one denominator D."""
-    (e, s, _), mats = ring, {}
-    items = [(m, i, j, c) for i, row in enumerate(jac.entries)
-             for j, entry in enumerate(row) for m, c in entry.terms.items()]
-    den, coords = _numerators([c for *_, c in items])
-    for (m, i, j, _), a in zip(items, coords):
-        for l in range(e):  # column l of the block is t^l a, over den s^l
-            a = _times_t(ring, a) if l else a
-            mats.setdefault(m, []).extend((i * e + r, j * e + l, x * s ** (e - 1 - l))
-                                          for r, x in enumerate(a) if x)
-    return {m: (den * s ** (e - 1), mats[m]) for m in sorted(mats)}
-
-
 def _strong_nilpotence_flag(jac: PolyMatrix):
-    """(T, None) when JH is strongly nilpotent, (None, word witness) otherwise.
-
-    With JH = sum_m x^m A_m, the flag W_0 = K^n, W_{k+1} = sum_m A_m W_k
-    reaches 0 exactly when every word of n matrices A_m vanishes, which is
-    strong nilpotence (van den Essen and Hubbers, JPAA 110, 1996).  The
-    columns of T run through a basis adapted to the flag, deepest level
-    last, so every T^{-1} A_m T is strictly lower triangular.  Each basis
-    vector of W_k is kept as the image of a unit vector under a word of k
-    matrices, so a nonzero W_n yields a witness word of exactly n letters.
-
-    A vector of K^n = Q^{n e} is n e integers over one denominator, and A_m
-    acts by its regular representation.  A level keeps, in image order, each
-    image K-independent of those kept (`_extends`), and stops once it is as
-    large as the level before: W_{k+1} lies in W_k.
-    """
+    """(T, None) when JH is strongly nilpotent, (None, word witness) otherwise:
+    `linalg.flag` on the A_m of JH = sum_m x^m A_m, by monomial m, sorted, so
+    T^{-1} H(Tx) is strictly triangular, or a word of n exponent vectors
+    sends e_unit to a nonzero image."""
     field, n = jac.field, jac.nvars
     if jac.is_lower_triangular(strict=True):
         return PolyMatrix.identity(field, n, n), None
-    zero, ring, e = field.zero(), _ring(field), field.degree
-    mats = _coefficient_matrices(jac, ring)
-    levels = [[((), j, (1, [int(k == j * e) for k in range(n * e)])) for j in range(n)]]
-    for _ in range(n):
-        images = (((m,) + word, j, _image(mat, v))
-                  for word, j, v in levels[-1] for m, mat in mats.items())
-        level, basis = [], []
-        for word, j, image in images:
-            if _extends(ring, basis, image[1]):
-                level.append((word, j, image))
-                if len(level) == len(levels[-1]):
-                    break
-        if not level:
-            deepest_first = [v for step in reversed(levels[1:]) for _, _, v in step]
-            return _adapted_basis(deepest_first, field, n), None
-        levels.append(level)
-    word, j, (den, image) = levels[-1][0]
-    # re-check against the Jacobian entries themselves, on integer numerators
-    scale, check = 1, [[int(i == j)] + [0] * (e - 1) for i in range(n)]
-    for m in reversed(word):
-        step, entries = _numerators([entry.terms.get(m, zero) for row in jac.entries
-                                     for entry in row])
-        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
-        scale, check = scale * step, [list(map(sum, zip(*map(field.times, row, check))))
-                                      for row in rows]
-    if not any(image) or any(x * den != y * scale for x, y in zip(sum(check, []), image)):
-        raise ArithmeticError("strong-nilpotence word failed re-verification")
-    return None, {"kind": "word", "word": list(word), "unit": j,
-                  "image": _scalars(field, (den, image))}
-
-
-def _adapted_basis(chain, field: Field, n: int) -> PolyMatrix:
-    """An invertible T whose last columns span chain[:k] for every k.
-
-    `chain` holds (den, flat integer coordinates) vectors.  The chain vectors,
-    then the unit vectors, are picked in order when K-independent of those
-    picked before (`_extends`); the columns of T are the picked unit vectors,
-    ascending, then the picked chain vectors in reverse."""
-    ring, e = _ring(field), field.degree
-    vectors = chain + [(1, [int(k == j * e) for k in range(n * e)]) for j in range(n)]
-    basis, picked = [], []
-    for k, (_, coords) in enumerate(vectors):
-        if len(picked) < n and _extends(ring, basis, coords):
-            picked.append(k)
-    cols = [_scalars(field, vectors[p]) for p in picked if p >= len(chain)] + \
-        [_scalars(field, vectors[p]) for p in reversed(picked) if p < len(chain)]
-    return PolyMatrix.from_scalars(field, n, [[cols[j][i] for j in range(n)] for i in range(n)])
+    entries = {}
+    for i, row in enumerate(jac.entries):
+        for j, entry in enumerate(row):
+            for m, c in entry.terms.items():
+                entries.setdefault(m, []).append((i, j, c))
+    t_grid, word = linalg.flag(field, n, dict(sorted(entries.items())))
+    if word is None:
+        return PolyMatrix.from_scalars(field, n, t_grid), None
+    letters, j, image = word
+    return None, {"kind": "word", "word": list(letters), "unit": j, "image": image}
 
 
 def _entry_witness(matrix: PolyMatrix) -> dict:
@@ -583,7 +511,7 @@ def triangularization_from_certificate(cert: StarCertificate, n: int,
                                         field: Field | None = None) -> PolyMatrix:
     """A constant invertible T that triangularizes every certificate term.
 
-    The flag's basis routine `_adapted_basis`, run on b_N, ..., b_1, keeps
+    The flag's basis routine `linalg.adapted_basis`, run on b_N, ..., b_1, keeps
     each b_i independent of the later kept ones; they are the last columns
     of T, in certificate order, after the unit vectors that complete them,
     ascending.  Every term is re-checked with the one T^{-1}.  The field
@@ -595,8 +523,8 @@ def triangularization_from_certificate(cert: StarCertificate, n: int,
     violated = _orthogonality_failure(cert)
     if violated is not None:
         raise ValueError(f"orthogonality violated at {violated}")
-    chain = map(_numerators, (b for _, _, b in reversed(cert.triples)))
-    t_matrix = _adapted_basis([(den, sum(coords, [])) for den, coords in chain], field, n)
+    t_matrix = PolyMatrix.from_scalars(field, n, linalg.adapted_basis(
+        field, n, [b for _, _, b in reversed(cert.triples)]))
     grid, inv = conjugation_grids(t_matrix, field, n)
     for c, _, b in cert.triples:
         if not _term_is_triangular(c, b, grid, inv):

@@ -8,8 +8,7 @@ import pytest
 
 from kellerlab.exactfield import QQ, Field
 from kellerlab.multipoly import MultiPoly, variables
-from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate,
-                               hadamard_power_map, homogenize,
+from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, hadamard_power_map,
                                invert_triangular, jacobian, map_compose,
                                matrix_det, matrix_is_nilpotent, matrix_rank,
                                nonlinear_part, plus_identity)
@@ -245,36 +244,6 @@ def test_non_nilpotent_with_diagonal():
     x1, x2 = variables(QQ, 2)
     m = PolyMatrix([[x1, x2], [x2, x1]])
     assert not matrix_is_nilpotent(m)
-
-
-def test_homogenize_pads_monomials():
-    x1, x2 = variables(QQ, 2)
-    h = PolyMap([MultiPoly.zero(QQ, 2), x1 ** 3 - x1 ** 2])
-    lifted = homogenize(h, 3)
-    y = variables(QQ, 3)
-    assert lifted.components[1] == y[0] ** 3 - y[0] ** 2 * y[2]
-    assert lifted.components[0].is_zero()
-    assert lifted.components[2].is_zero()
-    assert lifted.n_out == 3 and lifted.nvars == 3
-    # homogeneity of every term
-    for comp in lifted.components:
-        for exps in comp.terms:
-            assert sum(exps) == 3
-
-
-def test_homogenize_round_trip():
-    x1, x2 = variables(QQ, 2)
-    h = PolyMap([x2 ** 2 - x1, x1 ** 3 - x1 * x2])
-    lifted = homogenize(h, 3)
-    back = [c.substitute([x1, x2, MultiPoly.constant(QQ, 2, 1)])
-            for c in lifted.components[:-1]]
-    assert PolyMap(back) == h
-
-
-def test_homogenize_degree_guard():
-    x1, x2 = variables(QQ, 2)
-    with pytest.raises(ValueError):
-        homogenize(PolyMap([x1 ** 3, x2]), 2)
 
 
 def test_invert_triangular_chain():

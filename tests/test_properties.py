@@ -568,7 +568,8 @@ def test_chain_report_all_checks_equal_merged_single_checks(spec, hidden):
     f = plus_identity(h)
     merged = PropertyReport()
     for check in CHAIN_CONDITIONS:
-        merged.merge(chain_report(f, checks=[check]))
+        r = chain_report(f, checks=[check])
+        merged.record(check, r.verdict(check), r.witness(check), r.notes.get(check))
     assert (serialize.dumps(serialize.report_to_json(chain_report(f)))
             == serialize.dumps(serialize.report_to_json(merged)))
 
@@ -916,6 +917,78 @@ def test_integer_flag_matches_scalar_flag_fuzz():
         assert 5 <= sum(holds[field]) <= len(holds[field]) - 5, field
 
 
+# -- linalg.flag and linalg.adapted_basis on plain Scalar matrices --------------
+
+def _grid_product(a, b, field):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), field.zero())
+             for j in range(len(b[0]))] for row in a]
+
+
+def _sparse(grid):
+    return [(i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if not v.is_zero()]
+
+
+@pytest.mark.parametrize("field", _FLAG_FIELDS[:2], ids=["Q", "zeta3"])
+def test_linalg_flag_triangularizes_hidden_strictly_triangular_matrices(field):
+    # P S_m P^{-1} for strictly lower triangular S_m under keys that are no
+    # monomials: T^{-1} A_m T must come out strictly lower triangular again
+    import random
+
+    rng = random.Random(316)
+    t = field.generator()
+    for n in (2, 3, 4):
+        p = _random_invertible(rng, field, n, (-1, 0, 1, 2, Fraction(1, 2))).constant_grid()
+        p_inv = linalg.invert(p, field)
+        mats = {}
+        for key in ("b", "a", "c"):
+            s_m = [[(field.scalar(rng.randint(-3, 3)) + t * rng.randint(0, 2)) if j < i
+                    else field.zero() for j in range(n)] for i in range(n)]
+            mats[key] = _grid_product(_grid_product(p, s_m, field), p_inv, field)
+        t_grid, word = linalg.flag(field, n, {key: _sparse(a) for key, a in mats.items()})
+        assert word is None
+        t_inv = linalg.invert(t_grid, field)
+        assert t_inv is not None
+        for a in mats.values():
+            conj = _grid_product(_grid_product(t_inv, a, field), t_grid, field)
+            assert all(conj[i][j].is_zero() for i in range(n) for j in range(i, n)), (n, conj)
+
+
+@pytest.mark.parametrize("field", _FLAG_FIELDS[:2], ids=["Q", "zeta3"])
+def test_linalg_flag_word_sends_unit_vector_to_image(field):
+    # each A_m is nilpotent, but their span is not: a word of n letters is nonzero
+    t, zero, one = field.generator(), field.zero(), field.one()
+    for n in (2, 3):
+        up = [[one if j == i + 1 else zero for j in range(n)] for i in range(n)]
+        down = [[t + 2 if i == j + 1 else zero for j in range(n)] for i in range(n)]
+        mats = {"up": up, "down": down}
+        t_grid, word = linalg.flag(field, n, {key: _sparse(a) for key, a in mats.items()})
+        assert t_grid is None
+        letters, j, image = word
+        assert len(letters) == n and set(letters) <= set(mats)
+        vector = [[one if i == j else zero] for i in range(n)]
+        for key in reversed(letters):
+            vector = _grid_product(mats[key], vector, field)
+        assert [row[0] for row in vector] == image
+        assert any(not v.is_zero() for v in image)
+
+
+def test_properties_imports_no_private_linalg_name():
+    # the flat integer vectors of the flag stay behind linalg's public functions
+    import ast
+    import pathlib
+
+    from kellerlab import properties
+
+    tree = ast.parse(pathlib.Path(properties.__file__).read_text())
+    leaked = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "linalg"
+              for alias in node.names if alias.name.startswith("_")]
+    leaked += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "linalg"
+               and node.attr.startswith("_")]
+    assert not leaked
+
+
 # -- the flat-vector basis against the nested-vector basis it replaced ----------
 
 def _nested_primitive(coords, den=0):
@@ -1001,6 +1074,9 @@ def test_flat_adapted_basis_matches_nested_basis_fuzz():
             expected = _nested_adapted_basis(chain, field, n)
             t_matrix = triangularization_from_certificate(cert, n)
             assert (serialize.dumps(serialize.matrix_to_json(t_matrix))
+                    == serialize.dumps(serialize.matrix_to_json(expected))), (field, cert.triples)
+            t_grid = linalg.adapted_basis(field, n, [b for _, _, b in reversed(cert.triples)])
+            assert (serialize.dumps(serialize.matrix_to_json(PolyMatrix.from_scalars(field, n, t_grid)))
                     == serialize.dumps(serialize.matrix_to_json(expected))), (field, cert.triples)
             # K-dependent b_i, mostly by a multiple outside Q: the t-multiples decide them
             nonzero = [b for _, _, b in cert.triples if any(not x.is_zero() for x in b)]
