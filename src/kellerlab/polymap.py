@@ -3,8 +3,7 @@
 Covers the symbolic machinery the condition checkers sit on: Jacobians,
 composition, changes of basis and conjugation, Hadamard-power maps, the
 exact determinant (by cofactor expansion) and rank over the function field,
-nilpotency, homogenization and the forward-substitution inverse for
-strictly triangular maps.
+nilpotency and the forward-substitution inverse for strictly triangular maps.
 """
 
 from __future__ import annotations

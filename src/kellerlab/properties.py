@@ -17,7 +17,7 @@ jc_plus, `_decide_word` for strong_nilpotent, `_decide_level` for the three
 certificate levels, `_decide_<condition>` for the rest.  Routes, in order:
 
     keller, nilpotent  the flag or JH H = 0; else det JF, JH^n
-    quasi              JH H = 0; else the first nonzero component of H(x-H)-H
+    quasi              JH H, with its first nonzero entry as the witness
     jc_minus           x - H if JH H = 0; forward substitution if JH is
                        triangular; T^{-1} F(Tx) inverted by the flag; else undecided
     jc, jc_plus        the flag; det G; point patterns; the full determinant
@@ -43,7 +43,7 @@ p_m(v) = sum_k v_k^m, so a nonzero constant det G proves holds; a
 non-constant one proves nothing.  When the flag holds, T^{-1} G T is count I
 plus a strictly lower triangular matrix, so det G = count^n.  Failure is
 sought at point patterns, substitutions into det G (`_point_witness`), and
-the determinant in n + count n variables is expanded last.
+the determinant in n + count n variables last; past 64 points, undecided.
 
 (**) and (***) fail only by two sound oracles (single-term matching in
 dimension 2, and the one-dimensional component-span argument), and (JC-)
@@ -92,6 +92,9 @@ HOLDS = "holds"
 FAILS = "fails"
 UNDECIDED = "undecided"
 
+# Past this many points the sum condition, whose work grows with them, is undecided.
+_MAX_SUM_POINTS = 64
+
 CHAIN_CONDITIONS = (
     "keller", "nilpotent", "quasi", "jc_minus", "jc", "jc_plus",
     "strong_nilpotent", "star", "doublestar", "triplestar",
@@ -135,20 +138,13 @@ class PropertyReport:
 
 # -- basic map-level checks -------------------------------------------------
 
-def _quasi(jh: PolyMatrix, h: PolyMap) -> bool:
-    """JH H = 0, which holds exactly when x + H is a quasi-translation."""
-    return all(sums_of_products(h.field, h.nvars, [zip(repeat(1), row, h.components)])[0].is_zero()
-               for row in jh.entries)
-
-
-def _quasi_witness(h: PolyMap) -> dict:
-    """The first nonzero component of H(x - H) - H, for an H with JH H != 0."""
-    inner = (PolyMap.identity(h.field, h.nvars) - h).components
-    for index, comp in enumerate(h.components):
-        value = comp.substitute(inner, nvars=h.nvars) - comp
+def _quasi(jh: PolyMatrix, h: PolyMap):
+    """The first nonzero entry (i, (JH H)_i), or None when JH H = 0 (a quasi-translation)."""
+    for index, row in enumerate(jh.entries):
+        value = sums_of_products(h.field, h.nvars, [zip(repeat(1), row, h.components)])[0]
         if not value.is_zero():
-            return {"kind": "component", "index": index, "value": value}
-    raise ArithmeticError("JH H is nonzero, yet H(x - H) = H")
+            return index, value
+    return None
 
 
 def is_quasi_translation(map_: PolyMap) -> bool:
@@ -241,9 +237,8 @@ def _point_witness(det: MultiPoly, monomials, n: int, count: int, full_det):
                 return field, _pattern_points(field, n, count, m, j, s_value)
             # rootless quadratic: adjoin a root exactly
             if restricted.degree() == 2:
-                c2 = restricted.terms.get((2,), field.zero()).as_rational()
-                c1 = restricted.terms.get((1,), field.zero()).as_rational()
-                c0 = restricted.terms.get((0,), field.zero()).as_rational()
+                c0, c1, c2 = (restricted.terms.get((k,), field.zero()).as_rational()
+                              for k in range(3))
                 ext = Field([c0 / c2, c1 / c2, 1])
                 s_value = ext.generator()
                 return ext, _pattern_points(ext, n, count, m, j, s_value)
@@ -251,13 +246,8 @@ def _point_witness(det: MultiPoly, monomials, n: int, count: int, full_det):
 
 
 def _pattern_points(field: Field, n: int, count: int, m: int, j: int, s_value: Scalar):
-    points = []
-    for b in range(count):
-        point = [field.zero()] * n
-        point[m] = field.one()
-        if b == count - 1:
-            point[j] = point[j] + s_value
-        points.append(point)
+    points = [[field.one() if i == m else field.zero() for i in range(n)] for _ in range(count)]
+    points[-1][j] = s_value
     return points
 
 
@@ -282,7 +272,7 @@ def check_sum_condition(map_: PolyMap, count: int, label: str = "sum_condition")
     count = deg F - 1 realizes the deg-1-point condition, count = n the
     full condition.  Since the field is infinite and algebraically closed
     points are allowed, a non-constant symbolic determinant means failure.
-    The decider is chain_report's `_decide_sum`.
+    The decider is chain_report's `_decide_sum`, undecided past `_MAX_SUM_POINTS`.
     """
     if not map_.is_square:
         raise ValueError("sum condition needs a square map")
@@ -667,8 +657,12 @@ class _MapAnalysis:
         return PolyMatrix.identity(self.map.field, n, n) + self.jh
 
     @cached_property
-    def quasi(self) -> bool:
+    def jh_h_entry(self):
         return _quasi(self.jh, self.h)
+
+    @property
+    def quasi(self) -> bool:
+        return self.jh_h_entry is None
 
     @cached_property
     def flag(self):
@@ -704,7 +698,9 @@ def _decide_nilpotent(shared: _MapAnalysis):
 def _decide_quasi(shared: _MapAnalysis):
     if shared.quasi:
         return HOLDS, None, None
-    return FAILS, _quasi_witness(shared.h), "H(x - H) - H is nonzero"
+    index, value = shared.jh_h_entry
+    return (FAILS, {"kind": "jh_h_entry", "index": index, "value": value},
+            "JH H has a nonzero entry")
 
 
 def _decide_jc_minus(shared: _MapAnalysis):
@@ -731,6 +727,8 @@ def _decide_sum(shared: _MapAnalysis, count: int):
         # T^-1 (sum of JH at the points) T is strictly triangular: det = count^n
         n = shared.map.nvars
         return HOLDS, None, f"determinant is the constant {shared.map.field.scalar(count) ** n!r}"
+    if count > _MAX_SUM_POINTS:
+        return UNDECIDED, None, f"more than {_MAX_SUM_POINTS} points: the sum is not expanded"
     return _sum_condition(shared.jf, count)
 
 

@@ -1,17 +1,22 @@
-"""The layer microbenchmark script runs: every kernel is called once."""
+"""The layer microbenchmark script runs: every kernel is called once.  The
+benchmark's tracer finds every kellerlab name it wraps."""
 
+import importlib
 import importlib.util
 import os
 
-_SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "bench", "microbench.py")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load_microbench():
-    spec = importlib.util.spec_from_file_location("microbench", _SCRIPT)
+def _load(name, *parts):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(_ROOT, *parts))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_microbench():
+    return _load("microbench", "bench", "microbench.py")
 
 
 def test_every_microbench_kernel_runs_once():
@@ -28,3 +33,17 @@ def test_every_microbench_kernel_runs_once():
     for name, call, number in kernels:
         assert number >= 1, name
         call()
+
+
+def test_every_traced_name_resolves():
+    # the tracer looks each (module, attribute path) up with vars() and
+    # raises KeyError on a name the program no longer defines
+    tracing = _load("tracing", "perfbench", "tracing.py")
+    for module_name, path, _, _ in tracing.TRACED:
+        owner = importlib.import_module("kellerlab." + module_name)
+        for part in path.split("."):
+            assert part in vars(owner), (module_name, path)
+            owner = vars(owner)[part]
+        assert callable(owner), (module_name, path)
+    with tracing.Tracer():
+        pass

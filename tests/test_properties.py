@@ -539,11 +539,34 @@ def test_chain_report_failure_witnesses_reverify():
     assert power.entries[entry["row"]][entry["col"]] == entry["value"]
     assert not entry["value"].is_zero()
     assert rep.verdict("quasi") == FAILS
-    comp = rep.witness("quasi")
-    x_minus_h = PolyMap.identity(QQ, 2) - h
-    diff = map_compose(h, x_minus_h) - h
-    assert diff.components[comp["index"]] == comp["value"]
-    assert not comp["value"].is_zero()
+    assert not _residual(h).is_zero()
+    _assert_jh_h_witness(h, rep.witness("quasi"))
+    assert rep.witness("quasi") == {"kind": "jh_h_entry", "index": 0,
+                                    "value": 2 * x2 * x1 ** 2}
+    assert rep.notes["quasi"] == "JH H has a nonzero entry"
+
+
+# perfbench/workloads.conjugating_matrix("f666", 4, 10, QQ, 1): the conjugated
+# workload's change of basis at seed 1
+_F666_D4_T = [[0, 1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1, 0, 1, 0, 0],
+              [0, 0, 0, 0, 1, 0, 0, -1, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, -1],
+              [0, 0, 0, 0, 0, 0, -1, 0, 0, -1], [0, 0, -1, 0, 0, 1, 0, 0, 0, 0],
+              [1, 0, 0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, -1, 1, 0],
+              [0, 0, 0, 0, 0, -1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1, 1, 0, 0]]
+
+
+def test_quasi_fails_fast_on_hidden_f666_d4():
+    # the entry of JH H that decides the verdict is the witness; expanding a
+    # component of H(x - H) - H of degree d^2 instead took seconds here
+    import time
+
+    t_matrix = PolyMatrix.from_scalars(QQ, 10, _F666_D4_T)
+    h = conjugate(make_family(FamilySpec("f666", 4)), t_matrix)
+    start = time.perf_counter()
+    rep = chain_report(plus_identity(h), checks=["quasi"])
+    assert time.perf_counter() - start < 2.0
+    assert rep.verdict("quasi") == FAILS
+    _assert_jh_h_witness(h, rep.witness("quasi"))
 
 
 def _mix_first_and_last(n, field=QQ):
@@ -560,7 +583,7 @@ _SMALLEST = [FamilySpec(kind, 3 if kind in ("n4", "nonhomog_n4") else 2)
 @pytest.mark.parametrize("spec,hidden", [(spec, False) for spec in _SMALLEST]
                          + [(FamilySpec("small3", 3), True), (FamilySpec("f666", 2, n=4), True)])
 def test_chain_report_all_checks_equal_merged_single_checks(spec, hidden):
-    # one call shares H, JH, JF and the quasi residual across the checks;
+    # one call shares H, JH, JF, JH H and the flag across the checks;
     # ten one-check calls build each of them afresh
     h = make_family(spec)
     if hidden:
@@ -1092,19 +1115,30 @@ def _residual(h):
     return map_compose(h, PolyMap.identity(h.field, h.nvars) - h) - h
 
 
+def _jh_h(h):
+    """The rows of JH H, by the operators alone."""
+    return [sum((e * c for e, c in zip(row, h.components)), MultiPoly.zero(h.field, h.nvars))
+            for row in jacobian(h).entries]
+
+
+def _assert_jh_h_witness(h, witness):
+    rows = _jh_h(h)
+    index = next(i for i, row in enumerate(rows) if not row.is_zero())
+    assert witness == {"kind": "jh_h_entry", "index": index, "value": rows[index]}, h
+
+
 def _assert_quasi_agrees(h):
     residual = _residual(h)
     f = plus_identity(h)
     assert is_quasi_translation(f) == residual.is_zero(), h
+    assert all(row.is_zero() for row in _jh_h(h)) == residual.is_zero(), h
     rep = chain_report(f, checks=["quasi", "jc_minus"])
     if residual.is_zero():
         assert rep.verdict("quasi") == HOLDS
         assert rep.witness("jc_minus")["map"] == PolyMap.identity(h.field, h.nvars) - h
     else:
-        index = next(i for i, c in enumerate(residual.components) if not c.is_zero())
         assert rep.verdict("quasi") == FAILS
-        assert rep.witness("quasi") == {"kind": "component", "index": index,
-                                        "value": residual.components[index]}
+        _assert_jh_h_witness(h, rep.witness("quasi"))
     return residual.is_zero()
 
 
