@@ -149,7 +149,7 @@ def _quasi(jh: PolyMatrix, h: PolyMap):
 
 def is_quasi_translation(map_: PolyMap) -> bool:
     """F = x + H with H(x - H) = H, equivalently (x+H) o (x-H) = x."""
-    return _MapAnalysis(map_).quasi
+    return _MapAnalysis(map_).jh_h_entry is None
 
 
 # -- sums and products of substituted Jacobians ------------------------------
@@ -237,8 +237,9 @@ def _point_witness(det: MultiPoly, monomials, n: int, count: int, full_det):
                 return field, _pattern_points(field, n, count, m, j, s_value)
             # rootless quadratic: adjoin a root exactly
             if restricted.degree() == 2:
-                c0, c1, c2 = (restricted.terms.get((k,), field.zero()).as_rational()
-                              for k in range(3))
+                c2 = restricted.terms.get((2,), field.zero()).as_rational()
+                c1 = restricted.terms.get((1,), field.zero()).as_rational()
+                c0 = restricted.terms.get((0,), field.zero()).as_rational()
                 ext = Field([c0 / c2, c1 / c2, 1])
                 s_value = ext.generator()
                 return ext, _pattern_points(ext, n, count, m, j, s_value)
@@ -246,8 +247,13 @@ def _point_witness(det: MultiPoly, monomials, n: int, count: int, full_det):
 
 
 def _pattern_points(field: Field, n: int, count: int, m: int, j: int, s_value: Scalar):
-    points = [[field.one() if i == m else field.zero() for i in range(n)] for _ in range(count)]
-    points[-1][j] = s_value
+    points = []
+    for b in range(count):
+        point = [field.zero()] * n
+        point[m] = field.one()
+        if b == count - 1:
+            point[j] = point[j] + s_value
+        points.append(point)
     return points
 
 
@@ -660,10 +666,6 @@ class _MapAnalysis:
     def jh_h_entry(self):
         return _quasi(self.jh, self.h)
 
-    @property
-    def quasi(self) -> bool:
-        return self.jh_h_entry is None
-
     @cached_property
     def flag(self):
         """(T, None) when JH is strongly nilpotent, else (None, word witness)."""
@@ -675,8 +677,8 @@ class _MapAnalysis:
 
     @property
     def unipotent(self) -> bool:
-        """det(I + t JH) = 1, by the flag or by quasi (module docstring)."""
-        return self.strongly_nilpotent or self.quasi
+        """det(I + t JH) = 1, by the flag or by JH H = 0 (module docstring)."""
+        return self.strongly_nilpotent or self.jh_h_entry is None
 
 
 # Each decider maps a _MapAnalysis to (verdict, witness, note).
@@ -696,7 +698,7 @@ def _decide_nilpotent(shared: _MapAnalysis):
 
 
 def _decide_quasi(shared: _MapAnalysis):
-    if shared.quasi:
+    if shared.jh_h_entry is None:
         return HOLDS, None, None
     index, value = shared.jh_h_entry
     return (FAILS, {"kind": "jh_h_entry", "index": index, "value": value},
@@ -707,7 +709,7 @@ def _decide_jc_minus(shared: _MapAnalysis):
     """Holds with an exhibited inverse: quasi-translation, direct triangular
     inversion, or inversion of T^{-1} F(Tx) for the flag's T."""
     map_ = shared.map
-    if shared.quasi:
+    if shared.jh_h_entry is None:
         inverse = PolyMap.identity(map_.field, map_.nvars) - shared.h
         how = "quasi-translation: x - H inverts x + H"
     elif shared.jh.is_lower_triangular(strict=True):

@@ -15,12 +15,8 @@ def _load(name, *parts):
     return module
 
 
-def _load_microbench():
-    return _load("microbench", "bench", "microbench.py")
-
-
 def test_every_microbench_kernel_runs_once():
-    kernels = _load_microbench().kernels()
+    kernels = _load("microbench", "bench", "microbench.py").kernels()
     names = [name for name, _, _ in kernels]
     assert len(names) == len(set(names))
     assert {"multipoly_mul_zeta5", "multipoly_substitute_q", "divide_exact_q",
