@@ -348,16 +348,19 @@ def cyclotomic(d: int) -> list:
 
 # Candidate roots p/q need the divisors of the constant and the leading
 # coefficient, found by trial division up to their square roots; past this
-# bound (about 10^5 divisions) the search is not run at all.
+# bound (about 10^5 divisions) the search is not run at all, nor past the
+# degree bound map files put on min_poly, since each candidate costs powers up
+# to the degree.
 _ROOT_SEARCH_LIMIT = 10 ** 10
+_ROOT_SEARCH_DEGREE = 64
 
 
 def rational_roots(coeffs):
     """All rational roots of sum_i coeffs[i] t^i, ascending; [] for zero.
 
     The coefficients are exact rationals.  None when a coefficient that
-    bounds the candidates exceeds _ROOT_SEARCH_LIMIT, so the roots are not
-    known.
+    bounds the candidates exceeds _ROOT_SEARCH_LIMIT, or the degree once t^low
+    is divided out exceeds _ROOT_SEARCH_DEGREE, so the roots are not known.
     """
     coeffs = {e: as_fraction(c) for e, c in enumerate(coeffs) if c}
     if not coeffs:
@@ -369,6 +372,8 @@ def rational_roots(coeffs):
     deg = max(coeffs)
     if deg == 0:
         return [Fraction(0)] if low > 0 else []
+    if deg > _ROOT_SEARCH_DEGREE:
+        return None
     denom_lcm = 1
     for c in coeffs.values():
         denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
@@ -403,33 +408,19 @@ def is_cyclotomic_or_eisenstein(coeffs) -> bool:
     ints = [int(c * den) for c in coeffs]
     deg = len(ints) - 1
     if den == 1 and ints[0] == 1 and ints == ints[::-1]:
-        if any(cyclotomic(k) == ints for k in _totient_preimages(deg)):
+        # phi(k) >= sqrt(k / 2), so phi(k) = deg needs k <= 2 deg^2
+        if any(cyclotomic(k) == ints for k in range(1, 2 * deg * deg + 1) if _totient(k) == deg):
             return True
     low = math.gcd(*ints[:-1])
     return low <= _ROOT_SEARCH_LIMIT and any(
         ints[-1] % p and ints[0] % (p * p) for p in _prime_factors(low))
 
 
-def _totient_preimages(n):
-    """Every k with Euler's phi(k) = n; each prime p of such a k has p - 1 | n."""
-    primes = [d + 1 for d in _divisors(n) if _prime_factors(d + 1) == [d + 1]]
-    found = []
-
-    def extend(rest, k, start):
-        if rest == 1:
-            found.append(k)
-        for index in range(start, len(primes)):
-            p = primes[index]
-            if rest % (p - 1) == 0:
-                rest_p, power = rest // (p - 1), p
-                while True:
-                    extend(rest_p, k * power, index + 1)
-                    if rest_p % p:
-                        break
-                    rest_p, power = rest_p // p, power * p
-
-    extend(n, 1, 0)
-    return found
+def _totient(k):
+    """Euler's phi(k)."""
+    for p in _prime_factors(k):
+        k -= k // p
+    return k
 
 
 def _prime_factors(n):

@@ -23,7 +23,9 @@ certificate levels, `_decide_<condition>` for the rest.  Routes, in order:
     jc, jc_plus        the flag; det G; point patterns; the full determinant
     strong_nilpotent   the flag, or its word witness
     star               the certificate; the flag when H(0) = 0
-    doublestar, ***    the certificate; the desk-scale oracles; else undecided
+    doublestar, ***    the certificate; the zero map; n = 1; the single-term
+                       oracle at n = 2; the component span for ***; the flag's
+                       word when H(0) = 0, as *** => ** => *; else undecided
 
 The flag: JH = sum_m x^m A_m is strongly nilpotent, which is linear
 triangularizability (van den Essen and Hubbers, JPAA 110, 1996), exactly when
@@ -45,9 +47,9 @@ plus a strictly lower triangular matrix, so det G = count^n.  Failure is
 sought at point patterns, substitutions into det G (`_point_witness`), and
 the determinant in n + count n variables last; past 64 points, undecided.
 
-(**) and (***) fail only by two sound oracles (single-term matching in
-dimension 2, and the one-dimensional component-span argument), and (JC-)
-never fails.  A certificate's orthogonality clause is tested on integer
+(**) and (***) fail by two sound oracles (single-term matching in dimension
+2, and the one-dimensional component-span argument) or because (*) fails, and
+(JC-) never fails.  A certificate's orthogonality clause is tested on integer
 numerators: each c_j and b_i is scaled once to integer coordinates, and each
 pairing is an integer convolution folded by `Field.reduce`.
 """
@@ -411,9 +413,6 @@ class StarCertificate:
     def field(self):
         return self.triples[0][0].field if self.triples else None
 
-    def with_level(self, level: str) -> "StarCertificate":
-        return StarCertificate(level, self.triples)
-
     def __eq__(self, other):
         if not isinstance(other, StarCertificate):
             return NotImplemented
@@ -581,25 +580,6 @@ def certificate_from_triangularization(map_: PolyMap, t_matrix: PolyMatrix) -> S
     return cert
 
 
-# -- desk-scale oracles for the stronger forms --------------------------------
-
-def _single_term_certificate(map_: PolyMap):
-    """In dimension 2 the n-1 = 1 term forms are decidable exhaustively.
-
-    A single-term decomposition H = (c^t x)^d b is unique up to the
-    normalization of c: H = g v (`_span_generator`) with g = lam (c^t x)^d
-    gives b = lam v, and checking c^t b = 0 is a complete test.  H must be
-    nonzero.
-    """
-    line = _span_generator(map_)
-    detected = None if line is None else is_pure_power(line[0])
-    if detected is None:
-        return None
-    form, d, lam = detected
-    cert = StarCertificate("doublestar", [(form, d, [lam * v for v in line[1]])])
-    return cert if certificate_failure(map_, cert) is None else None
-
-
 def _span_generator(map_: PolyMap):
     """(g, v) with H = g v and g normalized to 1 at its smallest monomial, when
     the components' span is a line; None otherwise.  H must be nonzero."""
@@ -611,32 +591,6 @@ def _span_generator(map_: PolyMap):
            for comp, c in zip(map_.components, v)):
         return None
     return generator, v
-
-
-def _decide_level_oracle(map_: PolyMap, level: str):
-    """(verdict, witness, note) for the n-1 term form at `level`, undecided out of scope."""
-    field, n = map_.field, map_.nvars
-    if map_.is_zero():
-        units = linalg.identity_grid(field, n)
-        cert = StarCertificate(level, [(LinearForm.zero_form(field, n), 1, units[i + 1])
-                                       for i in range(n - 1)])
-        return HOLDS, {"kind": "certificate", "certificate": cert}, "zero map"
-    if n == 1:
-        return FAILS, None, "a nonzero one-variable map is no empty sum"
-    if n == 2:
-        cert = _single_term_certificate(map_)
-        if cert is None:
-            return (FAILS, None,
-                    "single-term oracle: no orthogonal decomposition with one power exists")
-        return (HOLDS, {"kind": "certificate", "certificate": cert.with_level(level)},
-                "single-term oracle")
-    if level == "triplestar":
-        line = _span_generator(map_)
-        if line is not None and is_pure_power(line[0]) is None:
-            return (FAILS, {"kind": "span_generator", "generator": line[0]},
-                    "component-span oracle: with independent b_i every form power lies in "
-                    "the span, but its generator is not a power of a linear form")
-    return UNDECIDED, None, "no verifying certificate; outside the oracles"
 
 
 # -- the aggregated chain ------------------------------------------------------
@@ -742,14 +696,41 @@ def _decide_word(shared: _MapAnalysis):
 
 
 def _decide_level(shared: _MapAnalysis, level: str):
-    h, cert = shared.h, shared.cert
+    """The routes of the module docstring, in order: the chain *** => ** => *
+    comes after every oracle, which decides without the flag."""
+    h, cert, field, n = shared.h, shared.cert, shared.map.field, shared.map.nvars
     if cert is not None and verify_star_certificate(h, cert, level=level):
         return HOLDS, {"kind": "certificate", "certificate": cert}, None
-    if level != "star":
-        return _decide_level_oracle(h, level)
-    if h.vanishes_at_origin():
-        return HOLDS if shared.strongly_nilpotent else FAILS, shared.flag[1], None
-    return UNDECIDED, None, "H(0) != 0: only the triangularizability reading applies"
+    if level == "star":
+        if h.vanishes_at_origin():
+            return HOLDS if shared.strongly_nilpotent else FAILS, shared.flag[1], None
+        return UNDECIDED, None, "H(0) != 0: only the triangularizability reading applies"
+    if h.is_zero():
+        units = linalg.identity_grid(field, n)
+        cert = StarCertificate(level, [(LinearForm.zero_form(field, n), 1, units[i + 1])
+                                       for i in range(n - 1)])
+        return HOLDS, {"kind": "certificate", "certificate": cert}, "zero map"
+    if n == 1:
+        return FAILS, None, "a nonzero one-variable map is no empty sum"
+    line = _span_generator(h) if n == 2 or level == "triplestar" else None
+    detected = None if line is None else is_pure_power(line[0])
+    if n == 2:
+        # one term (c^t x)^d b, unique up to scaling c: H = g v with g = lam (c^t x)^d
+        # gives b = lam v, so checking c^t b = 0 is a complete test
+        if detected is not None:
+            form, d, lam = detected
+            cert = StarCertificate(level, [(form, d, [lam * v for v in line[1]])])
+            if certificate_failure(h, cert) is None:
+                return HOLDS, {"kind": "certificate", "certificate": cert}, "single-term oracle"
+        return FAILS, None, "single-term oracle: no orthogonal decomposition with one power exists"
+    if line is not None and detected is None:
+        return (FAILS, {"kind": "span_generator", "generator": line[0]},
+                "component-span oracle: with independent b_i every form power lies in "
+                "the span, but its generator is not a power of a linear form")
+    if h.vanishes_at_origin() and not shared.strongly_nilpotent:
+        return (FAILS, shared.flag[1],
+                "(*) fails: JH is not strongly nilpotent, so (**) and (***) fail")
+    return UNDECIDED, None, "no verifying certificate; outside the oracles"
 
 
 # Run order: jc_minus, whose inverse is the largest object a report keeps, runs late.

@@ -377,26 +377,31 @@ def test_map_file_min_poly_above_degree_64_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: min_poly has degree 128")
 
 
-@pytest.mark.parametrize("checks,code,budget,conditions", [
-    ("jc-minus", 2, 5.0, {"jc_minus": "undecided"}),
-    ("quasi", 1, 1.0, {"quasi": "fails"}),
-    ("all", 1, 5.0, {"quasi": "fails", "jc": "undecided"}),
-], ids=["jc-minus", "quasi", "all"])
-def test_jc_minus_on_a_huge_exponent_answers_fast(tmp_path, capsys, checks, code, budget,
+@pytest.mark.parametrize("nvars,checks,code,budget,conditions", [
+    (1, "jc-minus", 2, 5.0, {"jc_minus": "undecided"}),
+    (1, "quasi", 1, 1.0, {"quasi": "fails"}),
+    (1, "all", 1, 5.0, {"quasi": "fails", "jc": "undecided"}),
+    (2, "jc-plus", 1, 2.0, {"jc_plus": "fails"}),
+    (2, "all", 1, 5.0, {"jc": "undecided", "jc_plus": "fails"}),
+], ids=["jc-minus", "quasi", "all", "n2-jc-plus", "n2-all"])
+def test_jc_minus_on_a_huge_exponent_answers_fast(tmp_path, capsys, nvars, checks, code, budget,
                                                   conditions):
-    # H = (x1^1000000): composing (x - H)^1000000 for the quasi-translation
-    # test never finished; JH H = 10^6 x1^1999999 is one product, and its
-    # entry is the quasi witness.  jc would sum JF at 999 999 points, beyond
-    # the sum condition's point bound
+    # H = (x1^1000000) or (x1^1000000, 0): composing (x - H)^1000000 for the
+    # quasi-translation test never finished; JH H = 10^6 x1^1999999 is one
+    # product, and its entry is the quasi witness.  jc would sum JF at 999 999
+    # points, beyond the sum condition's point bound.  jc_plus at n = 2 restricts
+    # det G to a degree-999 999 polynomial, past the rational root search's bound
     import time
 
     map_path = tmp_path / "huge.json"
     map_path.write_text(json.dumps({
         "field": {"min_poly": ["0", "1"]},
-        "nvars": 1,
-        "components": [{"nvars": 1, "terms": [{"exps": [1000000], "coeff": "1"}]}],
+        "nvars": nvars,
+        "components": [{"nvars": nvars, "terms": [{"exps": [1000000] + [0] * (nvars - 1),
+                                                   "coeff": "1"}]}]
+                      + [{"nvars": nvars, "terms": []}] * (nvars - 1),
     }, separators=(",", ":")))
-    assert len(map_path.read_bytes()) <= 125
+    assert len(map_path.read_bytes()) <= {1: 125, 2: 135}[nvars]
     start = time.perf_counter()
     assert main(["analyze", str(map_path), "--checks", checks]) == code
     assert time.perf_counter() - start < budget

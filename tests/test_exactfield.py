@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kellerlab.exactfield import QQ, Field, as_fraction, cyclotomic, rational_roots
+from kellerlab.exactfield import (QQ, Field, as_fraction, cyclotomic, is_cyclotomic_or_eisenstein,
+                                  rational_roots)
 
 
 def test_degree_one_field_is_plain_rationals():
@@ -110,6 +111,12 @@ def test_cyclotomic_degree_is_euler_totient():
 
     for d in (2, 6, 10, 12, 16, 24, 30):
         assert len(cyclotomic(d)) - 1 == totient(d)
+
+
+def test_every_cyclotomic_polynomial_is_recognized():
+    # Phi_1 and Phi_2 have degree 1, below the test's contract
+    for k in range(3, 61):
+        assert is_cyclotomic_or_eisenstein(cyclotomic(k)), k
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 12])
@@ -286,6 +293,10 @@ def test_rational_roots_of_a_coefficient_list():
     assert rational_roots([0, 0, 1]) == [0]
     assert rational_roots([-2, 0, 1]) == []
     assert rational_roots([]) == []
+    # past degree 64, once t^low is divided out, the roots are not known
+    assert rational_roots([-1] + [0] * 63 + [1]) == [-1, 1]
+    assert rational_roots([-1] + [0] * 64 + [1]) is None
+    assert rational_roots([0] * 100 + [-1, 1]) == [0, 1]
     # a constant past the search bound leaves the roots unknown
     assert rational_roots([-(10 ** 11), 0, 1]) is None
 

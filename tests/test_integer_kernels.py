@@ -24,9 +24,9 @@ from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact, is_pure_po
                                  substitute_all, sums_of_products)
 from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, invert_triangular, jacobian,
                                linear_combinations, map_compose, matrix_det, plus_identity)
-from kellerlab.properties import (StarCertificate, _orthogonality_failure,
-                                  _single_term_certificate, _span_generator,
-                                  _strong_nilpotence_flag, certificate_failure)
+from kellerlab.properties import (FAILS, HOLDS, StarCertificate, _orthogonality_failure,
+                                  _span_generator, _strong_nilpotence_flag,
+                                  certificate_failure, chain_report)
 
 # Q, two cyclotomic fields, a non-integral fold t^2 = -9/2 and the ring Q[t]/(t^2)
 _POWER_RINGS = (QQ, Field(cyclotomic(3)), Field(cyclotomic(5)),
@@ -639,8 +639,11 @@ def test_single_term_certificate_matches_ratio_oracle_fuzz():
         if all(comp.is_zero() for comp in comps):
             continue
         map_ = PolyMap(comps)
-        got = _single_term_certificate(map_)
-        assert got == _ratio_single_term_certificate(map_), (trial, map_)
+        report = chain_report(plus_identity(map_), checks=["doublestar"])
+        expected = _ratio_single_term_certificate(map_)
+        assert report.verdict("doublestar") == (FAILS if expected is None else HOLDS)
+        got = report.witness("doublestar")
+        assert (got and got["certificate"]) == expected, (trial, map_)
         outcomes.add((got is not None, _span_generator(map_) is not None))
     assert outcomes == {(True, True), (False, True), (False, False)}
 

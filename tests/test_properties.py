@@ -182,7 +182,7 @@ def test_certificate_failure_clauses():
     # independence clause for triplestar
     spec0 = FamilySpec("f666", 2, nu=0)
     h666 = make_family(spec0)
-    cert666 = family_certificate(spec0).with_level("triplestar")
+    cert666 = StarCertificate("triplestar", family_certificate(spec0).triples)
     assert certificate_failure(h666, cert666) == "independence"
 
 
@@ -439,6 +439,21 @@ def test_chain_report_undecided_without_certificate():
     rep = chain_report(plus_identity(h), checks=["doublestar", "triplestar"])
     assert rep.verdict("doublestar") == UNDECIDED
     assert rep.verdict("triplestar") == UNDECIDED
+
+
+def test_levels_read_the_flags_word_only_when_it_fails():
+    # n5 is not strongly nilpotent, so no level holds and all three report the
+    # flag's word; small3's flag holds, so its doublestar stays undecided
+    rep = chain_report(plus_identity(make_family(FamilySpec("n5", 2))))
+    for level in ("doublestar", "triplestar"):
+        assert rep.verdict(level) == FAILS
+        assert rep.witness(level) == rep.witness("star") == rep.witness("strong_nilpotent")
+        assert rep.notes[level] == ("(*) fails: JH is not strongly nilpotent, "
+                                    "so (**) and (***) fail")
+    rep = chain_report(plus_identity(make_family(FamilySpec("small3", 3))),
+                       checks=["strong_nilpotent", "doublestar"])
+    assert rep.verdict("strong_nilpotent") == HOLDS
+    assert rep.verdict("doublestar") == UNDECIDED
 
 
 def test_chain_directions_on_families():
@@ -1213,6 +1228,24 @@ def test_quasi_by_jh_h_matches_residual_property():
     @given(_hypothesis_maps())
     def check(h):
         _assert_quasi_agrees(h)
+
+    check()
+
+
+def test_levels_follow_the_chain_property():
+    # *** => ** => *, and (*) needs strong nilpotence once H(0) = 0
+    from hypothesis import given, settings
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hypothesis_maps())
+    def check(h):
+        rep = chain_report(plus_identity(h),
+                           checks=["strong_nilpotent", "star", "doublestar", "triplestar"])
+        if HOLDS in (rep.verdict("doublestar"), rep.verdict("triplestar")):
+            assert rep.verdict("star") == HOLDS, h
+        if rep.verdict("strong_nilpotent") == FAILS and h.vanishes_at_origin():
+            assert {rep.verdict(level) for level in ("star", "doublestar", "triplestar")} \
+                == {FAILS}, h
 
     check()
 
