@@ -74,11 +74,15 @@ def _load_map(path: str) -> PolyMap:
         return serialize.map_from_json(json.load(handle))
 
 
-def _write(path: str, text: str) -> bool:
-    """Write an output file; False, with the error printed, when it cannot be written."""
+def _dump(payload, path: str | None) -> bool:
+    """Stream `payload` to the file `path`, or to stdout when there is none; False,
+    with the error printed, when it cannot be written."""
     try:
+        if not path:
+            serialize.dump(payload, sys.stdout)
+            return True
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            serialize.dump(payload, handle)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return False
@@ -93,7 +97,7 @@ def cmd_gen(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not _write(args.out, serialize.dumps(serialize.map_to_json(family))):
+    if not _dump(serialize.map_to_json(family), args.out):
         return 2
     field_desc = "QQ" if family.field.is_rational else \
         "QQ[t]/(" + ",".join(str(c) for c in family.field.min_poly) + ")"
@@ -122,12 +126,8 @@ def cmd_analyze(args) -> int:
     except ZeroDivisionError as exc:  # a reducible min_poly has zero divisors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = serialize.dumps(serialize.report_to_json(report))
-    if args.report:
-        if not _write(args.report, payload):
-            return 2
-    else:
-        sys.stdout.write(payload)
+    if not _dump(serialize.report_to_json(report), args.report):
+        return 2
     verdicts = [report.verdict(c) for c in wanted]
     for name in wanted:
         print(f"{name}: {report.verdict(name)}", file=sys.stderr)

@@ -358,11 +358,13 @@ _ROOT_SEARCH_DEGREE = 64
 def rational_roots(coeffs):
     """All rational roots of sum_i coeffs[i] t^i, ascending; [] for zero.
 
-    The coefficients are exact rationals.  None when a coefficient that
-    bounds the candidates exceeds _ROOT_SEARCH_LIMIT, or the degree once t^low
-    is divided out exceeds _ROOT_SEARCH_DEGREE, so the roots are not known.
+    The coefficients are exact rationals, in a sequence or in a sparse
+    {exponent: coefficient} dict.  None when a coefficient that bounds the
+    candidates exceeds _ROOT_SEARCH_LIMIT, or the degree once t^low is divided
+    out exceeds _ROOT_SEARCH_DEGREE, so the roots are not known.
     """
-    coeffs = {e: as_fraction(c) for e, c in enumerate(coeffs) if c}
+    items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+    coeffs = {e: as_fraction(c) for e, c in items if c}
     if not coeffs:
         return []
     low = min(coeffs)

@@ -401,17 +401,22 @@ def matrix_is_nilpotent(matrix: PolyMatrix) -> bool:
 
 
 def invert_triangular(map_: PolyMap) -> PolyMap:
-    """Exact inverse of F = x + H with strictly lower triangular JH.
+    """Exact inverse of F = x + H with strictly lower triangular JH."""
+    h = nonlinear_part(map_)
+    if not jacobian(h).is_lower_triangular(strict=True):
+        raise ValueError("nonlinear part has no strictly lower triangular Jacobian")
+    return _forward_substitution(h)
+
+
+def _forward_substitution(h: PolyMap) -> PolyMap:
+    """The inverse of x + H, for H with strictly lower triangular JH (unchecked).
 
     Forward substitution in batches: G = (x - H)(a), where a_j = G_j once
     component j is solved and a_j = x_j before.  Component i is ready when
     every variable of H_i is solved, and all ready components are substituted
     at once; strict triangularity makes the lowest unsolved one ready.
     """
-    h = nonlinear_part(map_)
-    if not jacobian(h).is_lower_triangular(strict=True):
-        raise ValueError("nonlinear part has no strictly lower triangular Jacobian")
-    n, xs = map_.nvars, variables(map_.field, map_.nvars)
+    n, xs = h.nvars, variables(h.field, h.nvars)
     minus = [x - c for x, c in zip(xs, h.components)]
     used = [{i for e in c.terms for i, k in enumerate(e) if k} for c in h.components]
     out, solved = list(xs), set()

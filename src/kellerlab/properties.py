@@ -65,9 +65,9 @@ from . import linalg
 from .exactfield import Field, Scalar, rational_roots
 from .multipoly import (LinearForm, MultiPoly, _numerators, is_pure_power,
                         lift_to_field, rename_variables, sums_of_products)
-from .polymap import (PolyMap, PolyMatrix, change_basis, conjugation_grids, jacobian,
-                      linear_combinations, matrix_det, invert_triangular,
-                      nonlinear_part, plus_identity)
+from .polymap import (PolyMap, PolyMatrix, _forward_substitution, change_basis,
+                      conjugation_grids, jacobian, linear_combinations, matrix_det,
+                      invert_triangular, nonlinear_part, plus_identity)
 
 __all__ = [
     "HOLDS",
@@ -185,10 +185,7 @@ def _univariate_rational_roots(poly: MultiPoly):
     """`rational_roots` of a univariate polynomial over Q."""
     if poly.nvars != 1 or not poly.field.is_rational:
         raise ValueError("rational root search needs a univariate rational polynomial")
-    dense = [Fraction(0)] * (max((e for (e,) in poly.terms), default=-1) + 1)
-    for (e,), coeff in poly.terms.items():
-        dense[e] = coeff.as_rational()
-    return rational_roots(dense)
+    return rational_roots({e: coeff.as_rational() for (e,), coeff in poly.terms.items()})
 
 
 def _generic_sum(jf: PolyMatrix, count: int):
@@ -667,7 +664,8 @@ def _decide_jc_minus(shared: _MapAnalysis):
         inverse = PolyMap.identity(map_.field, map_.nvars) - shared.h
         how = "quasi-translation: x - H inverts x + H"
     elif shared.jh.is_lower_triangular(strict=True):
-        inverse, how = invert_triangular(map_), "forward substitution on the triangular form"
+        inverse = _forward_substitution(shared.h)  # JH is checked: no second Jacobian
+        how = "forward substitution on the triangular form"
     elif shared.strongly_nilpotent:
         grid, inv = conjugation_grids(shared.flag[0], map_.field, map_.nvars)
         # F^{-1} = T G^{-1}(T^{-1} x) for the triangular G = T^{-1} F(Tx)
@@ -720,7 +718,8 @@ def _decide_level(shared: _MapAnalysis, level: str):
         if detected is not None:
             form, d, lam = detected
             cert = StarCertificate(level, [(form, d, [lam * v for v in line[1]])])
-            if certificate_failure(h, cert) is None:
+            # c^t b = 0 first: it fails without expanding (c^t x)^d again
+            if _orthogonality_failure(cert) is None and certificate_failure(h, cert) is None:
                 return HOLDS, {"kind": "certificate", "certificate": cert}, "single-term oracle"
         return FAILS, None, "single-term oracle: no orthogonal decomposition with one power exists"
     if line is not None and detected is None:

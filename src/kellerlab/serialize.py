@@ -2,7 +2,11 @@
 
 All numbers travel as rational strings ("p/q" or plain integers), terms are
 sorted lexicographically by exponent vector, and `dumps` emits sorted keys,
-so identical objects always serialize to identical bytes.  A map file's
+so identical objects always serialize to identical bytes.  The writer's
+contract is `dumps(p) == json.dumps(p, sort_keys=True, indent=2,
+default=poly_to_json) + "\n"`: `report_to_json` keeps a report's polynomials as
+MultiPoly leaves, each written in one piece, and `dump` streams the text into
+a file, so no report is held whole as dicts or as a string.  A map file's
 min_poly has degree at most 64 and, from degree 2 on, must be proven
 irreducible (`field_from_json`); the library's `Field` has neither bound.
 """
@@ -23,7 +27,7 @@ __all__ = [
     "map_to_json", "map_from_json",
     "matrix_to_json", "matrix_from_json",
     "certificate_to_json", "certificate_from_json",
-    "report_to_json", "dumps",
+    "report_to_json", "dump", "dumps",
 ]
 
 
@@ -67,11 +71,8 @@ def scalar_from_json(data, field: Field) -> Scalar:
 
 
 def poly_to_json(poly: MultiPoly) -> dict:
-    return {
-        "nvars": poly.nvars,
-        "terms": [{"exps": list(exps), "coeff": scalar_to_json(coeff)}
-                  for exps, coeff in poly.sorted_terms()],
-    }
+    return {"nvars": poly.nvars, "terms": [{"exps": list(exps), "coeff": scalar_to_json(coeff)}
+                                           for exps, coeff in poly.sorted_terms()]}
 
 
 def _natural(value, what: str) -> int:
@@ -89,61 +90,39 @@ def poly_from_json(data: dict, field: Field) -> MultiPoly:
     return MultiPoly.from_terms(field, nvars, items)
 
 
-def map_to_json(map_: PolyMap) -> dict:
-    return {
-        "field": field_to_json(map_.field),
-        "nvars": map_.nvars,
-        "components": [poly_to_json(c) for c in map_.components],
-    }
+def map_to_json(map_: PolyMap, poly=poly_to_json) -> dict:
+    """The map schema, with `poly` applied to each component."""
+    return {"field": field_to_json(map_.field), "nvars": map_.nvars,
+            "components": [poly(c) for c in map_.components]}
 
 
 def map_from_json(data: dict) -> PolyMap:
     field = field_from_json(data["field"])
     comps = [poly_from_json(c, field) for c in data["components"]]
     nvars = _natural(data["nvars"], "nvars")
-    for raw in data["components"]:
-        if raw["nvars"] != nvars:
-            raise ValueError("component nvars disagrees with the map")
+    if any(raw["nvars"] != nvars for raw in data["components"]):
+        raise ValueError("component nvars disagrees with the map")
     return PolyMap(comps)
 
 
 def matrix_to_json(matrix: PolyMatrix) -> dict:
-    entries = []
-    for row in matrix.entries:
-        out_row = []
-        for e in row:
-            if e.is_constant():
-                out_row.append(scalar_to_json(e.constant_value()))
-            else:
-                out_row.append(poly_to_json(e))
-        entries.append(out_row)
+    entries = [[scalar_to_json(e.constant_value()) if e.is_constant() else poly_to_json(e)
+                for e in row] for row in matrix.entries]
     return {"rows": matrix.rows, "cols": matrix.cols, "nvars": matrix.nvars,
             "entries": entries}
 
 
 def matrix_from_json(data: dict, field: Field) -> PolyMatrix:
     nvars = data.get("nvars", data["cols"])
-    grid = []
-    for row in data["entries"]:
-        out_row = []
-        for e in row:
-            if isinstance(e, dict):
-                out_row.append(poly_from_json(e, field))
-            else:
-                out_row.append(MultiPoly.constant(field, nvars,
-                                                  scalar_from_json(e, field)))
-        grid.append(out_row)
-    return PolyMatrix(grid)
+    return PolyMatrix([[poly_from_json(e, field) if isinstance(e, dict)
+                        else MultiPoly.constant(field, nvars, scalar_from_json(e, field))
+                        for e in row] for row in data["entries"]])
 
 
 def certificate_to_json(cert: StarCertificate) -> dict:
-    return {
-        "level": cert.level,
-        "triples": [{"c": [scalar_to_json(v) for v in c.coeffs],
-                     "d": d,
-                     "b": [scalar_to_json(v) for v in b]}
-                    for c, d, b in cert.triples],
-    }
+    return {"level": cert.level,
+            "triples": [{"c": [scalar_to_json(v) for v in c.coeffs], "d": d,
+                         "b": [scalar_to_json(v) for v in b]} for c, d, b in cert.triples]}
 
 
 def certificate_from_json(data: dict, field: Field) -> StarCertificate:
@@ -156,12 +135,11 @@ def certificate_from_json(data: dict, field: Field) -> StarCertificate:
 
 
 def _witness_to_json(value):
+    """A payload for `dump`: polynomials stay MultiPoly leaves."""
     if isinstance(value, Scalar):
         return scalar_to_json(value)
-    if isinstance(value, MultiPoly):
-        return poly_to_json(value)
     if isinstance(value, PolyMap):
-        return map_to_json(value)
+        return map_to_json(value, _witness_to_json)
     if isinstance(value, StarCertificate):
         return certificate_to_json(value)
     if isinstance(value, Field):
@@ -184,12 +162,20 @@ def report_to_json(report: PropertyReport) -> dict:
 
 
 def dumps(payload) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2) + "\n", written directly: with
-    an indent, `json` never uses its C encoder.  Takes dicts with str keys, lists,
-    str, int, bool and None; any other type raises TypeError."""
+    """json.dumps(payload, sort_keys=True, indent=2, default=poly_to_json) + "\n",
+    written directly: with an indent, `json` never uses its C encoder.  Takes dicts
+    with str keys, lists, str, int, bool, None and MultiPoly; any other type raises
+    TypeError."""
     out = []
     _write(payload, "\n", out.append)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def dump(payload, handle) -> None:
+    """Write `dumps(payload)` to the text file `handle` as it is produced."""
+    _write(payload, "\n", handle.write)
+    handle.write("\n")
 
 
 def _write(value, newline, emit):
@@ -202,7 +188,9 @@ def _write(value, newline, emit):
     elif isinstance(value, int):
         emit(int.__repr__(value))
     elif not isinstance(value, (dict, list)):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not isinstance(value, MultiPoly):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        emit(_poly_text(value, newline))
     elif not value:
         emit("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, dict):
@@ -218,3 +206,16 @@ def _write(value, newline, emit):
             emit(sep + inner)
             _write(item, inner, emit)
         emit(newline + "]")
+
+
+def _poly_text(poly: MultiPoly, newline: str) -> str:
+    """`poly_to_json(poly)` as `_write` emits it, through one template per term."""
+    i1, i2, i3, i4 = (newline + "  " * k for k in range(1, 5))
+    # "%.0s" swallows the empty exponent text of a polynomial in no variables
+    term = (f'{{{i3}"coeff": [{i4}"%s"{i3}],{i3}"exps": '
+            + (f"[{i4}%s{i3}]" if poly.nvars else "[]%.0s") + i2 + "}")
+    sep, comma = f'",{i4}"', "," + i4
+    terms = ("," + i2).join([term % (sep.join(map(str, c.coords)), comma.join(map(str, e)))
+                             for e, c in sorted(poly.terms.items())])
+    return (f'{{{i1}"nvars": {poly.nvars},{i1}"terms": '
+            + (f"[{i2}{terms}{i1}]" if terms else "[]") + newline + "}")

@@ -105,6 +105,28 @@ def test_analyze_reports_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_analyze_streams_a_large_report(tmp_path, capsys):
+    # the f666 d=5 report is 1.1 MB of JSON, most of it the jc_minus inverse:
+    # streamed from its polynomials it peaks near 1.2 MB of traced memory, where
+    # a dict per term and the whole text as one string reached 6.4 MB
+    import tracemalloc
+
+    _, map_path = _gen(tmp_path, "--family", "f666", "--degree", "5")
+    report = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        assert main(["analyze", str(map_path), "--checks", "all", "--report", str(report)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 10 ** 6
+    text = report.read_text()
+    assert len(text) > 10 ** 6
+    capsys.readouterr()
+    assert main(["analyze", str(map_path), "--checks", "all"]) == 1
+    assert capsys.readouterr().out == text
+
+
 def _write_cert(tmp_path, spec):
     cert = family_certificate(spec)
     path = tmp_path / "cert.json"

@@ -301,6 +301,14 @@ def test_rational_roots_of_a_coefficient_list():
     assert rational_roots([-(10 ** 11), 0, 1]) is None
 
 
+def test_rational_roots_of_a_sparse_mapping():
+    # {exponent: coefficient} agrees with the dense list and skips its zeros
+    assert rational_roots({0: -1, 2: 1}) == rational_roots([-1, 0, 1]) == [-1, 1]
+    assert rational_roots({100: -1, 101: 1, 7: 0}) == [0, 1]
+    assert rational_roots({}) == rational_roots({3: 0}) == []
+    assert rational_roots({0: 4, 999999: 2 * 10 ** 6}) is None
+
+
 def _parsed(parse, text):
     try:
         value = parse(text)

@@ -815,6 +815,44 @@ def test_jc_minus_inverts_the_flags_t_once(monkeypatch):
     assert map_compose(f, rep.witness("jc_minus")["map"]) == PolyMap.identity(QQ, 4)
 
 
+def test_jc_minus_on_a_triangular_jh_reuses_it(monkeypatch):
+    # the triangular route substitutes forward from the shared H; it builds no
+    # second Jacobian, and gives the inverse the public invert_triangular gives
+    from kellerlab import polymap
+
+    f = plus_identity(make_family(FamilySpec("f666", 3)))
+    monkeypatch.setattr(polymap, "jacobian", lambda *args: pytest.fail("second Jacobian"))
+    rep = chain_report(f, checks=["jc_minus"])
+    monkeypatch.undo()
+    assert rep.notes["jc_minus"] == "forward substitution on the triangular form"
+    assert rep.witness("jc_minus")["map"] == polymap.invert_triangular(f)
+
+
+def test_single_term_oracle_tests_orthogonality_before_the_sum(monkeypatch):
+    # H = (x1^1000000, 0) is x1^1000000 e_1 and c = e_1 is not orthogonal to
+    # b = e_1: the oracle fails without expanding (c^t x)^1000000 a second time
+    from kellerlab import properties
+
+    h = PolyMap([MultiPoly(QQ, 2, {(1000000, 0): QQ.one()}), MultiPoly.zero(QQ, 2)])
+    monkeypatch.setattr(properties, "certificate_failure",
+                        lambda *args, **kwargs: pytest.fail("the sum was expanded"))
+    rep = chain_report(plus_identity(h), checks=["doublestar"])
+    assert rep.verdict("doublestar") == FAILS
+    assert rep.notes["doublestar"].startswith("single-term oracle")
+
+
+def test_univariate_rational_roots_passes_the_sparse_terms(monkeypatch):
+    # 2 10^6 s^999999 + 4 reaches the root search as two terms, not 10^6 Fractions
+    from kellerlab import properties
+
+    seen = []
+    search = properties.rational_roots
+    monkeypatch.setattr(properties, "rational_roots", lambda c: seen.append(c) or search(c))
+    poly = MultiPoly(QQ, 1, {(999999,): QQ.scalar(2 * 10 ** 6), (0,): QQ.scalar(4)})
+    assert properties._univariate_rational_roots(poly) is None
+    assert seen == [{999999: 2 * 10 ** 6, 0: 4}]
+
+
 def test_certificate_round_trip_inverts_t_once(monkeypatch):
     # the conjugation and the rows T^{-t} gamma share one T^{-1}
     spec = FamilySpec("f666", 3, nu=1)

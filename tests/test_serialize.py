@@ -1,10 +1,11 @@
 """JSON round trips and byte-level determinism."""
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kellerlab import serialize
 from kellerlab.exactfield import QQ, Field, cyclotomic
@@ -225,7 +226,7 @@ def test_certificate_from_json_rejects_non_integer_power(value):
 # -- the report writer against json ---------------------------------------------
 
 def _by_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=serialize.poly_to_json) + "\n"
 
 
 _TEXT = st.one_of(st.text(max_size=6),
@@ -244,6 +245,38 @@ _PAYLOADS = st.recursive(
 @given(_PAYLOADS)
 def test_dumps_matches_json_property(payload):
     assert serialize.dumps(payload) == _by_json(payload)
+
+
+_Z5 = Field(cyclotomic(5))
+
+
+@st.composite
+def _polys(draw):
+    field = draw(st.sampled_from((QQ, _Z5)))
+    n = draw(st.integers(0, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), _scalars(field))
+    return MultiPoly.from_terms(field, n, draw(st.lists(term, max_size=4)))
+
+
+_POLY_PAYLOADS = st.recursive(
+    st.one_of(_polys(), _LEAVES),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POLY_PAYLOADS)
+@example(MultiPoly.zero(QQ, 2))
+@example([MultiPoly.zero(_Z5, 0), {"p": MultiPoly.constant(QQ, 0, Fraction(-3, 7))}])
+@example({"a": [{"b": [MultiPoly.constant(_Z5, 3, _Z5.generator())]}]})
+def test_dumps_matches_json_with_polynomial_leaves(payload):
+    # a MultiPoly leaf is written as poly_to_json's dict would be, at any depth;
+    # dump streams the same text into a file handle
+    text = serialize.dumps(payload)
+    assert text == _by_json(payload)
+    handle = io.StringIO()
+    serialize.dump(payload, handle)
+    assert handle.getvalue() == text
 
 
 def test_dumps_matches_json_on_families_maps_and_certificates():
