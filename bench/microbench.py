@@ -42,6 +42,10 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
   change of basis of `quasi_test_q`, the `jc` check's determinant;
 - `sum_condition_conj_n4_d3`: the `jc` decision (`properties._sum_condition`
   at 2 points) for the map of `quasi_test_q`, which fails with a point witness;
+- `sum_condition_fallback_conj_n4_d5`: the `jc` fallback, det G at the power
+  sums (`properties._at_power_sums`), for the n4 family at d = 5 behind the T
+  of its report pin (`tests/test_report_bytes.py`) at 4 points: a 607-term
+  determinant in 20 variables;
 - `adapted_basis_f666_d4`: the flag's basis routine `linalg.adapted_basis`
   on the b vectors of the f666 certificate at d = 4 (n = 10) moved by the
   inverse of the change of basis of `change_basis_f666_d4` (b -> T^-1 b),
@@ -147,6 +151,7 @@ _HIDING = {
                       [-1, 0, 0, 0, -1], [-1, -1, 0, 0, 0]],
     ("f667", 3, 4): [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1], [1, 0, 0, -1]],
     ("n4", 3, None): [[0, 1, -1, 0], [1, 0, 1, 0], [0, 0, -1, 1], [0, -1, -1, 0]],
+    ("n4", 5, None): [[1, 0, 0, -1], [-1, 0, 1, 0], [1, 0, 1, 0], [0, 1, -1, 0]],
     ("f666", 4, None): [[0, 1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1, 0, 1, 0, 0],
                         [0, 0, 0, 0, 1, 0, 0, -1, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, -1],
                         [0, 0, 0, 0, 0, 0, -1, 0, 0, -1], [0, 0, -1, 0, 0, 1, 0, 0, 0, 0],
@@ -187,6 +192,9 @@ def kernels():
     f666_t = [[QQ.scalar(v) for v in row] for row in _HIDING["f666", 4, None]]
     f666_t_inv = linalg.invert(f666_t, QQ)
     n4_jf = jacobian(n4_f)
+    n4_d5_sum, n4_d5_ms = properties._generic_sum(
+        jacobian(plus_identity(_hidden_family("n4", 5))), 4)
+    n4_d5_det = matrix_det(n4_d5_sum)
     f666_b = [linear_combinations(f666_t_inv, b, QQ.zero())
               for _, _, b in reversed(family_certificate(FamilySpec("f666", 4)).triples)]
     f667_cert = family_certificate(FamilySpec("f667", 5))
@@ -214,6 +222,8 @@ def kernels():
         ("matrix_power_q", lambda: n5_jh.power(5), 10),
         ("sum_condition_det_q", lambda: matrix_det(n4_sum), 2),
         ("sum_condition_conj_n4_d3", lambda: properties._sum_condition(n4_jf, 2), 5),
+        ("sum_condition_fallback_conj_n4_d5",
+         lambda: properties._at_power_sums(n4_d5_det, n4_d5_ms, 4, 4), 20),
         ("adapted_basis_f666_d4", lambda: linalg.adapted_basis(QQ, 10, f666_b), 20),
         ("adapted_basis_f667_d5",
          lambda: linalg.adapted_basis(f667_cert.field, f667_cert.nvars, f667_b), 10),

@@ -497,15 +497,6 @@ class LinearForm:
             [(tuple(1 if i == j else 0 for j in range(self.nvars)), c)
              for i, c in enumerate(self.coeffs) if not c.is_zero()])
 
-    def dot(self, vector) -> Scalar:
-        """The pairing c^t b with a coefficient vector b."""
-        if len(vector) != self.nvars:
-            raise ValueError("vector length mismatch")
-        total = self.field.zero()
-        for c, b in zip(self.coeffs, vector):
-            total = total + c * _coerce_coeff(self.field, b)
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
             return NotImplemented

@@ -160,10 +160,6 @@ class PolyMatrix:
             raise ValueError("matrix has non-constant entries")
         return [[e.constant_value() for e in row] for row in self.entries]
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)])
-
     def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
         return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
 

@@ -45,7 +45,8 @@ p_m(v) = sum_k v_k^m, so a nonzero constant det G proves holds; a
 non-constant one proves nothing.  When the flag holds, T^{-1} G T is count I
 plus a strictly lower triangular matrix, so det G = count^n.  Failure is
 sought at point patterns, substitutions into det G (`_point_witness`), and
-the determinant in n + count n variables last; past 64 points, undecided.
+last det G at the power sums, which is det(G(p(v))), the determinant at
+fresh points; past 64 points, undecided.
 
 (**) and (***) fail by two sound oracles (single-term matching in dimension
 2, and the one-dimensional component-span argument) or because (*) fails, and
@@ -58,13 +59,13 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from itertools import repeat
 
 from . import linalg
 from .exactfield import Field, Scalar, rational_roots
 from .multipoly import (LinearForm, MultiPoly, _numerators, is_pure_power,
-                        lift_to_field, rename_variables, sums_of_products)
+                        lift_to_field, sums_of_products, variables)
 from .polymap import (PolyMap, PolyMatrix, _forward_substitution, change_basis,
                       conjugation_grids, jacobian, linear_combinations, matrix_det,
                       invert_triangular, nonlinear_part, plus_identity)
@@ -79,7 +80,6 @@ __all__ = [
     "substituted_jacobian_sum",
     "strong_nilpotence_product",
     "check_sum_condition",
-    "verify_sum_witness",
     "is_strongly_nilpotent",
     "verify_star_certificate",
     "certificate_failure",
@@ -156,29 +156,13 @@ def is_quasi_translation(map_: PolyMap) -> bool:
 
 # -- sums and products of substituted Jacobians ------------------------------
 
-def _fresh_copies(jac: PolyMatrix, count: int, combine) -> PolyMatrix:
-    """Fold `combine` over copies of `jac` at `count` tuples of fresh indeterminates.
-
-    The result lives in n + count*n variables: the original ones followed by
-    the points v_1, ..., v_count in a fixed order.
-    """
-    n = jac.nvars
-    total = n + count * n
-    acc = None
-    for b in range(count):
-        mapping = [n + b * n + j for j in range(n)]  # x_j -> coordinate j of point b
-        block = jac.map_entries(lambda e: rename_variables(e, mapping, total))
-        acc = block if acc is None else combine(acc, block)
-    return acc
-
-
 def substituted_jacobian_sum(map_: PolyMap, count: int) -> PolyMatrix:
     """Sum of JF at `count` tuples of fresh indeterminates, in n + count*n variables."""
     if not map_.is_square:
         raise ValueError("Jacobian sums need a square map")
     if count < 1:
         raise ValueError("need at least one substitution point")
-    return _fresh_copies(jacobian(map_), count, operator.add)
+    return _at_power_sums(*_generic_sum(jacobian(map_), count), map_.nvars, count)
 
 
 def _univariate_rational_roots(poly: MultiPoly):
@@ -196,6 +180,15 @@ def _generic_sum(jf: PolyMatrix, count: int):
     lam[(0,) * jf.nvars] = (0,) * len(monomials)
     return jf.map_entries(lambda e: MultiPoly(e.field, len(monomials), {
         lam[m]: c if any(m) else c * count for m, c in e.terms.items()})), monomials
+
+
+def _at_power_sums(poly, monomials, n: int, count: int):
+    """A polynomial or matrix in lam (`_generic_sum`) at lam_m = p_m(v) = sum_k v_k^m,
+    in n + count n variables: the original ones, then v_1, ..., v_count."""
+    total, one = n + count * n, poly.field.one()
+    return poly.substitute([MultiPoly(poly.field, total, {
+        (0,) * (n + k * n) + m + (0,) * ((count - 1 - k) * n): one for k in range(count)})
+        for m in monomials], nvars=total)
 
 
 def _point_witness(det: MultiPoly, monomials, n: int, count: int, full_det):
@@ -256,11 +249,6 @@ def _pattern_points(field: Field, n: int, count: int, m: int, j: int, s_value: S
     return points
 
 
-def verify_sum_witness(map_: PolyMap, field: Field, points) -> bool:
-    """Re-run the determinant at the witness points; must be exactly zero."""
-    return _sum_vanishes_at(jacobian(map_), field, points)
-
-
 def _sum_vanishes_at(jf: PolyMatrix, field: Field, points) -> bool:
     """Is the sum of JF at the points, a scalar matrix over `field`, singular?"""
     lifted = jf.map_entries(lambda e: lift_to_field(e, field))
@@ -288,11 +276,12 @@ def check_sum_condition(map_: PolyMap, count: int, label: str = "sum_condition")
 
 def _sum_condition(jf: PolyMatrix, count: int):
     """(verdict, witness, note): det G (`_generic_sum`) for holds, then the point
-    patterns for fails; the determinant in n + count n variables is built once,
-    when asked for."""
-    full_det = cache(lambda: matrix_det(_fresh_copies(jf, count, operator.add)))
+    patterns for fails, then det G at the power sums, the determinant at fresh
+    points: det(G(p(v))) = (det G)(p(v)).  It can have count^n times the terms
+    of det G, so it is built once, when asked for."""
     g, monomials = _generic_sum(jf, count)
     det = matrix_det(g)
+    full_det = cache(partial(_at_power_sums, det, monomials, jf.nvars, count))
     if not det.is_constant() or det.is_zero():
         found = _point_witness(det, monomials, jf.nvars, count, full_det)
         if found is not None:
@@ -317,8 +306,11 @@ def strong_nilpotence_product(map_: PolyMap, count: int | None = None) -> PolyMa
     """
     if not map_.is_square:
         raise ValueError("strong nilpotence needs a square map")
-    return _fresh_copies(jacobian(map_), map_.nvars if count is None else count,
-                         operator.matmul)
+    jac, n = jacobian(map_), map_.nvars
+    count = n if count is None else count
+    points = variables(map_.field, n + count * n)
+    return reduce(operator.matmul, [jac.substitute(points[n + b * n:n + b * n + n])
+                                    for b in range(count)])
 
 
 def is_strongly_nilpotent(map_: PolyMap) -> PropertyReport:
@@ -622,6 +614,13 @@ class _MapAnalysis:
         """(T, None) when JH is strongly nilpotent, else (None, word witness)."""
         return _strong_nilpotence_flag(self.jh)
 
+    @cached_property
+    def span(self):
+        """(g, v, is_pure_power(g)) when H = g v spans a line (`_span_generator`),
+        else None; read once for every level.  H must be nonzero."""
+        line = _span_generator(self.h)
+        return None if line is None else (*line, is_pure_power(line[0]))
+
     @property
     def strongly_nilpotent(self) -> bool:
         return self.flag[0] is not None
@@ -710,8 +709,8 @@ def _decide_level(shared: _MapAnalysis, level: str):
         return HOLDS, {"kind": "certificate", "certificate": cert}, "zero map"
     if n == 1:
         return FAILS, None, "a nonzero one-variable map is no empty sum"
-    line = _span_generator(h) if n == 2 or level == "triplestar" else None
-    detected = None if line is None else is_pure_power(line[0])
+    line = shared.span if n == 2 or level == "triplestar" else None
+    detected = None if line is None else line[2]
     if n == 2:
         # one term (c^t x)^d b, unique up to scaling c: H = g v with g = lam (c^t x)^d
         # gives b = lam v, so checking c^t b = 0 is a complete test
@@ -751,8 +750,9 @@ def chain_report(map_: PolyMap, cert: StarCertificate | None = None,
 
     `checks` restricts the work to a subset of CHAIN_CONDITIONS; each one is
     recorded from its decider (module docstring).  H, JH, JF = I + JH, the
-    quasi-translation test JH H = 0 and the strong-nilpotence flag are each
-    computed at most once per call, and only for the checks that read them.
+    quasi-translation test JH H = 0, the strong-nilpotence flag and the reading
+    of the component span are each computed at most once per call, and only
+    for the checks that read them.
     """
     if not map_.is_square:
         raise ValueError("chain analysis needs a square map F = x + H")

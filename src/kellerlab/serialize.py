@@ -6,9 +6,10 @@ so identical objects always serialize to identical bytes.  The writer's
 contract is `dumps(p) == json.dumps(p, sort_keys=True, indent=2,
 default=poly_to_json) + "\n"`: `report_to_json` keeps a report's polynomials as
 MultiPoly leaves, each written in one piece, and `dump` streams the text into
-a file, so no report is held whole as dicts or as a string.  A map file's
-min_poly has degree at most 64 and, from degree 2 on, must be proven
-irreducible (`field_from_json`); the library's `Field` has neither bound.
+a file, so no report is held whole as dicts or as a string.  A map file has
+at most 256 variables, and its min_poly has degree at most 64 and, from
+degree 2 on, must be proven irreducible (`field_from_json`); the library's
+`PolyMap` and `Field` have none of these bounds.
 """
 
 from __future__ import annotations
@@ -96,10 +97,19 @@ def map_to_json(map_: PolyMap, poly=poly_to_json) -> dict:
             "components": [poly(c) for c in map_.components]}
 
 
+# the largest map of the benchmark grids has 14 variables; near 1400, the
+# count^n of the jc_plus note passes Python's 4300-digit int-to-str limit
+_MAX_NVARS = 256
+
+
 def map_from_json(data: dict) -> PolyMap:
+    """The map of a map file; ValueError above _MAX_NVARS variables, before any
+    component is read."""
+    nvars = _natural(data["nvars"], "nvars")
+    if nvars > _MAX_NVARS:
+        raise ValueError(f"nvars is {nvars}, above the map-file bound {_MAX_NVARS}")
     field = field_from_json(data["field"])
     comps = [poly_from_json(c, field) for c in data["components"]]
-    nvars = _natural(data["nvars"], "nvars")
     if any(raw["nvars"] != nvars for raw in data["components"]):
         raise ValueError("component nvars disagrees with the map")
     return PolyMap(comps)

@@ -429,3 +429,27 @@ def test_jc_minus_on_a_huge_exponent_answers_fast(tmp_path, capsys, nvars, check
     assert time.perf_counter() - start < budget
     got = json.loads(capsys.readouterr().out)["conditions"]
     assert {name: got[name] for name in conditions} == conditions
+
+
+def test_wide_map_is_input_error(monkeypatch, tmp_path, capsys):
+    # 56 KB: nvars 2000 and x1^2 in the last component.  jc_plus would spell
+    # count^n = 2000^2000 in decimal, past Python's int-to-str limit; the map
+    # file is refused before any check runs
+    from kellerlab import cli
+
+    nvars = 2000
+    map_path = tmp_path / "wide.json"
+    map_path.write_text(json.dumps({
+        "field": {"min_poly": ["0", "1"]},
+        "nvars": nvars,
+        "components": [{"nvars": nvars, "terms": []}] * (nvars - 1)
+                      + [{"nvars": nvars, "terms": [{"exps": [2] + [0] * (nvars - 1),
+                                                     "coeff": "1"}]}],
+    }, separators=(",", ":")))
+    assert 50_000 < len(map_path.read_bytes()) < 60_000
+    monkeypatch.setattr(cli, "chain_report", lambda *args, **kwargs: pytest.fail("a check ran"))
+    for checks in ("jc-plus", "all"):
+        assert main(["analyze", str(map_path), "--checks", checks]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: nvars is 2000, above the map-file bound 256")
+        assert "Traceback" not in err

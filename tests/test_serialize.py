@@ -301,3 +301,14 @@ def test_dumps_matches_json_on_families_maps_and_certificates():
 def test_dumps_rejects_what_the_schemas_do_not_emit(payload):
     with pytest.raises(TypeError):
         serialize.dumps(payload)
+
+
+def test_map_from_json_bounds_nvars():
+    # 256 variables are read; 257 are refused before the components are read
+    def wide(nvars):
+        return {"field": {"min_poly": ["0", "1"]}, "nvars": nvars,
+                "components": [{"nvars": nvars, "terms": []}] * nvars}
+
+    assert serialize.map_from_json(wide(256)).nvars == 256
+    with pytest.raises(ValueError, match="above the map-file bound 256"):
+        serialize.map_from_json(dict(wide(257), components=None))
