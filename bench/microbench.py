@@ -59,7 +59,15 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
 - `report_dumps_f666_d5`: `serialize.report_to_json` and `serialize.dumps`
   together (work moves between them) on the `analyze --checks all` report on
   the f666 family at d = 5 (n = 12), 1.1 MB of JSON, most of it the
-  `jc_minus` inverse.
+  `jc_minus` inverse;
+- `map_from_json_f667_d6`: `serialize.map_from_json` on the parsed JSON of
+  the f667 family at d = 6 (n = 14, over Q(zeta_6)), mostly scalar parsing;
+- `numerators_adapted_basis_f667_d5`: the integer numerators that
+  `linalg.adapted_basis` reads off the b vectors of `adapted_basis_f667_d5`
+  (`multipoly._numerators`, one call per vector);
+- `sum_vanishes_at_n4_d6`: the re-check of the `jc` point witness of the n4
+  family at d = 6 (`properties._sum_vanishes_at`: the sum of JF at 5 points
+  over Q[t]/(t^2 + 25/4), singular).
 
 Prints one JSON object with the machine, the Python version, the repeat
 count and, per kernel, the calls per repeat and the best time per call.
@@ -82,8 +90,8 @@ from kellerlab import linalg, properties, serialize  # noqa: E402
 from kellerlab.constructions import (FamilySpec, family_certificate, gz_example,  # noqa: E402
                                      make_family)
 from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
-from kellerlab.multipoly import (LinearForm, MultiPoly, divide_exact,  # noqa: E402
-                                 is_pure_power, variables)
+from kellerlab.multipoly import (LinearForm, MultiPoly, _numerators,  # noqa: E402
+                                 divide_exact, is_pure_power, variables)
 from kellerlab.polymap import (PolyMatrix, change_basis, conjugate,  # noqa: E402
                                invert_triangular, jacobian, linear_combinations, matrix_det,
                                matrix_rank, plus_identity)
@@ -200,6 +208,10 @@ def kernels():
     f667_cert = family_certificate(FamilySpec("f667", 5))
     f667_b = [b for _, _, b in reversed(f667_cert.triples)]
     f666_d5_report = properties.chain_report(plus_identity(make_family(FamilySpec("f666", 5))))
+    f667_d6_data = json.loads(serialize.dumps(serialize.map_to_json(
+        make_family(FamilySpec("f667", 6)))))
+    n4_d6_jf = jacobian(plus_identity(make_family(FamilySpec("n4", 6))))
+    n4_d6_witness = properties._sum_condition(n4_d6_jf, 5)[1]
     return [
         ("fraction_mul", lambda: fa * fb, 20000),
         ("scalar_mul_q", lambda: qa * qb, 20000),
@@ -230,6 +242,10 @@ def kernels():
         ("change_basis_f666_d4", lambda: change_basis(f666_hidden, f666_t_inv, f666_t), 2),
         ("report_dumps_f666_d5",
          lambda: serialize.dumps(serialize.report_to_json(f666_d5_report)), 2),
+        ("map_from_json_f667_d6", lambda: serialize.map_from_json(f667_d6_data), 5),
+        ("numerators_adapted_basis_f667_d5", lambda: [_numerators(b) for b in f667_b], 50),
+        ("sum_vanishes_at_n4_d6", lambda: properties._sum_vanishes_at(
+            n4_d6_jf, n4_d6_witness["field"], n4_d6_witness["points"]), 20),
     ]
 
 

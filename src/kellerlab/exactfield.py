@@ -2,20 +2,19 @@
 
 A :class:`Field` is described by a monic minimal polynomial m with rational
 coefficients in ascending order; degree one means the plain rationals.
-Scalars are residue classes modulo m, stored as coordinate vectors in the
-power basis 1, t, ..., t^(deg m - 1) with `fractions.Fraction` entries, so
-every operation is exact and no floating point appears anywhere.
+Scalars are residue classes modulo m: integer numerators n_i of the power
+basis 1, t, ..., t^(deg m - 1) over one denominator D > 0, reduced (gcd 1,
+zero is 0/1) by `Field.fraction`, the one constructor; `Scalar.coords` is a
+read-only Fraction view.  No floating point appears anywhere.
 
 A product does no polynomial division.  The schoolbook product of the
-coordinates, skipping zeros, is folded down from the top (`Field.reduce`)
-with the relation t^deg = sum_i -m_i t^i, whose nonzero terms each Field
-tabulates once in `Field.fold`; the fold holds for any monic m.  Integral
-table entries (every cyclotomic m) are stored as int, so folding a product
-of integers, as `multipoly` does, stays in integers; a non-integral m folds
-in Fractions through the same code.  Over Q (m = t, one coordinate) there
-is nothing to fold and the product is one coordinate product (`Field.times`
-on bare lists).  Inverses use the extended Euclidean algorithm, except over
-Q, where the inverse of c is 1/c.
+numerators is folded down from the top (`Field.reduce`) with the relation
+t^deg = sum_i c_i t^i / s, integers c_i = -m_i s for the lcm s of the
+denominators of m, tabulated once in `Field.fold`; each of the deg - 1 steps
+scales by s, so the fold of integers stays in integers, over the fixed
+`Field.scale` s^(deg - 1) (1 for every cyclotomic m).  Over Q there is
+nothing to fold.  Inverses use the extended Euclidean algorithm on
+Fractions, except for a rational value n/D, whose inverse is D/n.
 
 Reducible minimal polynomials are accepted by the library (the quotient is
 then only a ring), and division raises when the divisor is not invertible
@@ -35,21 +34,25 @@ from fractions import Fraction
 __all__ = ["Field", "Scalar", "QQ", "cyclotomic", "rational_roots", "is_cyclotomic_or_eisenstein"]
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact rational; bools raise."""
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value):
+    """(p, q) in lowest terms, q > 0, as Fraction(value) parses it; bools and floats raise."""
     if isinstance(value, str) and value.isascii():
         # plain -?[0-9]+(/[0-9]+)? through int(); anything else, Fraction's own parser
         num, slash, den = value.partition("/")
         if num[num.startswith("-"):].isdigit() and (not slash or den.isdigit()):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            value = Fraction(int(num), int(den)) if slash else int(num)
+    if type(value) is int:
+        return value, 1
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+        value = Fraction(value)
+    if not isinstance(value, Fraction):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    return value.numerator, value.denominator
 
 
-_ZERO = Fraction(0)
+def as_fraction(value) -> Fraction:
+    """Coerce ints, Fractions and 'p/q' strings to an exact rational; bools raise."""
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
 # Dense univariate helpers on ascending Fraction lists with no trailing zeros;
@@ -114,7 +117,7 @@ def _uxgcd(a, b):
 class Field:
     """Q[t]/(m(t)) for a monic rational m(t); degree one is plain Q."""
 
-    __slots__ = ("min_poly", "fold", "_zero", "_one")
+    __slots__ = ("min_poly", "fold", "fold_den", "scale", "_zero", "_one")
 
     def __init__(self, min_poly):
         coeffs = tuple(as_fraction(c) for c in min_poly)
@@ -123,10 +126,11 @@ class Field:
         if coeffs[-1] != 1:
             raise ValueError("min_poly must be monic")
         self.min_poly = coeffs
-        # t^deg = sum of -m_i t^i over the nonzero m_i, integral ones as int
-        self.fold = tuple((i, int(-c) if c.denominator == 1 else -c)
-                          for i, c in enumerate(coeffs[:-1]) if c)
-        # one shared zero and one per field; coords are tuples, so nothing mutates them
+        # t^deg = sum_i c_i t^i / fold_den over the nonzero m_i, integers c_i = -m_i fold_den
+        self.fold_den = math.lcm(*(c.denominator for c in coeffs))
+        self.fold = tuple((i, int(-c * self.fold_den)) for i, c in enumerate(coeffs[:-1]) if c)
+        self.scale = self.fold_den ** (len(coeffs) - 2)
+        # one shared zero and one per field; Scalars are immutable, so nothing changes them
         self._zero, self._one = self.scalar(0), self.scalar(1)
 
     @property
@@ -134,11 +138,12 @@ class Field:
         return len(self.min_poly) - 1
 
     def reduce(self, prod):
-        """The first deg entries of a product of length 2*deg - 1, folded modulo m in place."""
-        deg = len(self.min_poly) - 1
-        fold = self.fold
+        """The first deg entries of a product of length 2*deg - 1 folded in place, times `scale`."""
+        deg, fold, s = len(self.min_poly) - 1, self.fold, self.fold_den
         for k in range(2 * deg - 2, deg - 1, -1):
             top = prod[k]
+            if s != 1:
+                prod[:k] = [x * s for x in prod[:k]]
             if top:
                 base = k - deg
                 for i, c in fold:
@@ -164,17 +169,24 @@ class Field:
             if value.field != self:
                 raise ValueError("scalar belongs to a different field")
             return value
-        coords = [Fraction(0)] * self.degree
-        coords[0] = as_fraction(value)
-        return Scalar(self, tuple(coords))
+        num, den = _ratio(value)
+        return self.fraction((num,) + (0,) * (self.degree - 1), den)
 
     def element(self, coords) -> "Scalar":
         """Build a Scalar from power-basis coordinates (padded with zeros)."""
-        cs = [as_fraction(c) for c in coords]
-        if len(cs) > self.degree:
+        pairs = [_ratio(c) for c in coords]
+        if len(pairs) > self.degree:
             raise ValueError("coordinate vector longer than the field degree")
-        cs.extend([Fraction(0)] * (self.degree - len(cs)))
-        return Scalar(self, tuple(cs))
+        den = math.lcm(*(q for _, q in pairs))
+        return self.fraction(tuple([p * (den // q) for p, q in pairs]
+                                   + [0] * (self.degree - len(pairs))), den)
+
+    def fraction(self, nums, den: int) -> "Scalar":
+        """The Scalar nums / den, for a tuple of integers and an integer den > 0, reduced."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple([n // g for n in nums]), den // g
+        return Scalar(self, nums, den)
 
     def zero(self) -> "Scalar":
         return self._zero
@@ -186,9 +198,7 @@ class Field:
         """The residue class of t; for degree one this is -m(0)."""
         if self.degree == 1:
             return self.scalar(-self.min_poly[0])
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return Scalar(self, tuple(coords))
+        return self.fraction((0, 1) + (0,) * (self.degree - 2), 1)
 
     def __eq__(self, other):
         if not isinstance(other, Field):
@@ -205,22 +215,31 @@ class Field:
 
 
 class Scalar:
-    """An element of a Field, canonical coordinates in the power basis."""
+    """An element of a Field: integer numerators `nums` over `den`, reduced."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: Field, coords):
-        self.field = field
-        self.coords = coords
+    def __init__(self, field: Field, nums, den: int):
+        self.field, self.nums, self.den = field, nums, den
+
+    @property
+    def coords(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def texts(self) -> list:
+        """Each coordinate as str(Fraction) writes it: "n", or "n/d" in lowest terms."""
+        return [str(n // g) if g == self.den else f"{n // g}/{self.den // g}"
+                for n in self.nums for g in (math.gcd(n, self.den),)]
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.nums)
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction; raises if any extension part is present."""
-        if any(self.coords[1:]):
+        if any(self.nums[1:]):
             raise ValueError("scalar has a nonzero extension component")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -231,52 +250,45 @@ class Scalar:
             return self.field.scalar(other)
         return None
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coords, rhs.coords)))
+        g = math.gcd(self.den, rhs.den)
+        a, b = rhs.den // g, self.den // g * sign
+        return self.field.fraction(tuple([x * a + y * b for x, y in zip(self.nums, rhs.nums)]),
+                                   self.den * a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coords))
+        return self.field.fraction(tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coords, rhs.coords)))
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self.coords, rhs.coords
-        deg = len(a)
-        prod = [_ZERO] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Scalar(self.field, tuple(self.field.reduce(prod)))
+        field = self.field
+        if len(self.nums) == 1:
+            return field.fraction((self.nums[0] * rhs.nums[0],), self.den * rhs.den)
+        return field.fraction(tuple(field.times(self.nums, rhs.nums)),
+                              self.den * rhs.den * field.scale)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        rep = _trim(list(self.coords))
-        if not rep:
+        if self.is_zero():
             raise ZeroDivisionError("not invertible modulo min_poly: zero")
-        if self.field.degree == 1:
-            return Scalar(self.field, (Fraction(1) / rep[0],))
-        g, s, _ = _uxgcd(rep, list(self.field.min_poly))
+        field, num = self.field, self.nums[0]
+        if not any(self.nums[1:]):  # a rational value n/D, inverted as D/n
+            return field.fraction((self.den if num > 0 else -self.den,) + self.nums[1:], abs(num))
+        g, s, _ = _uxgcd(_trim(list(self.nums)), list(field.min_poly))
         if len(g) != 1:
             raise ZeroDivisionError("not invertible modulo min_poly")
-        inv = [c / g[0] for c in s]
-        _, rem = _udivmod(inv, list(self.field.min_poly))
-        rem.extend([Fraction(0)] * (self.field.degree - len(rem)))
-        return Scalar(self.field, tuple(rem))
+        return field.element(_udivmod([c * self.den / g[0] for c in s], list(field.min_poly))[1])
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -301,21 +313,14 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self.coords == rhs.coords
+        return self.den == rhs.den and self.nums == rhs.nums
 
     def __repr__(self):
+        texts = self.texts()
         if self.field.is_rational:
-            return str(self.coords[0])
-        parts = []
-        for k, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
-            else:
-                parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
+            return texts[0]
+        parts = [c if k == 0 else ("" if c == "1" else c + "*") + ("t" if k == 1 else f"t^{k}")
+                 for k, c in enumerate(texts) if c != "0"]
         return " + ".join(parts) if parts else "0"
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
-from .exactfield import Field, Scalar
+from .exactfield import Field
 from .multipoly import _numerators
 
 __all__ = ["rref", "rank", "nullspace", "invert", "right_inverse", "identity_grid",
@@ -116,15 +115,15 @@ def flag(field: Field, n: int, entries: dict):
     the size of level k - 1; T, a grid of Scalars, runs through the levels
     deepest last, so every T^{-1} A_m T is strictly lower triangular.  The
     word is re-checked on the entries themselves."""
-    ring, e = _ring(field), field.degree
-    mats = _regular(ring, entries)
+    e = field.degree
+    mats = _regular(field, entries)
     levels = [[((), j, (1, [int(k == j * e) for k in range(n * e)])) for j in range(n)]]
     for _ in range(n):
         images = (((m,) + word, j, _image(mat, v))
                   for word, j, v in levels[-1] for m, mat in mats.items())
         level, basis = [], []
         for word, j, image in images:
-            if _extends(ring, basis, image[1]):
+            if _extends(field, basis, image[1]):
                 level.append((word, j, image))
                 if len(level) == len(levels[-1]):
                     break
@@ -142,46 +141,40 @@ def adapted_basis(field: Field, n: int, vectors) -> list:
     for every k: the vectors, then the unit vectors, are picked in order when
     K-independent of those picked before (`_extends`), and the columns of T are
     the picked unit vectors, ascending, then the picked vectors in reverse."""
-    return _adapted_basis(field, n, [(den, sum(coords, []))
+    return _adapted_basis(field, n, [(den, [x for c in coords for x in c])
                                      for den, coords in map(_numerators, vectors)])
 
 
 def _adapted_basis(field: Field, n: int, chain) -> list:
     """`adapted_basis` on flat vectors (den, coords)."""
-    ring, e = _ring(field), field.degree
+    e = field.degree
     vectors = chain + [(1, [int(k == j * e) for k in range(n * e)]) for j in range(n)]
     basis, picked = [], []
     for k, (_, coords) in enumerate(vectors):
-        if len(picked) < n and _extends(ring, basis, coords):
+        if len(picked) < n and _extends(field, basis, coords):
             picked.append(k)
     cols = [_scalars(field, vectors[p]) for p in picked if p >= len(chain)] + \
         [_scalars(field, vectors[p]) for p in reversed(picked) if p < len(chain)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _ring(field: Field):
-    """(e, s, [(i, c_i)]): t^e = sum_i c_i t^i / s in K = Q(t), with integers c_i."""
-    s = math.lcm(*(c.denominator for _, c in field.fold))
-    return field.degree, s, [(i, int(c * s)) for i, c in field.fold]
-
-
-def _regular(ring, entries: dict) -> dict:
+def _regular(field: Field, entries: dict) -> dict:
     """By key m, the regular representation (D, [(row, col, a)]) of A_m, its
     Q-linear map on Q^{n e}, as integers a over one denominator D for all m."""
-    (e, s, _), mats = ring, {m: [] for m in entries}
+    e, s, mats = field.degree, field.fold_den, {m: [] for m in entries}
     items = [(m, i, j, a) for m, triples in entries.items() for i, j, a in triples]
     den, coords = _numerators([a for *_, a in items])
     for (m, i, j, _), a in zip(items, coords):
         for l in range(e):  # column l of the block is t^l a, over den s^l
-            a = _times_t(ring, a) if l else a
+            a = _times_t(field, a) if l else a
             mats[m].extend((i * e + r, j * e + l, x * s ** (e - 1 - l))
                            for r, x in enumerate(a) if x)
     return {m: (den * s ** (e - 1), mat) for m, mat in mats.items()}
 
 
-def _times_t(ring, vec) -> list:
+def _times_t(field: Field, vec) -> list:
     """s t v, block by block, for a flat vector v of e coordinates per entry."""
-    e, s, fold = ring
+    e, s, fold = field.degree, field.fold_den, field.fold
     out = []
     for b in range(0, len(vec), e):
         block = [0] + [x * s for x in vec[b:b + e - 1]]
@@ -208,14 +201,14 @@ def _image(mat, vec):
     return _primitive(out, den_a * den_v)
 
 
-def _extends(ring, basis: list, v) -> bool:
+def _extends(field: Field, basis: list, v) -> bool:
     """Add v, reduced, and s t times each row it adds, e rows in all, to the
     fraction-free echelon `basis` [(pivot, row)] of Q^{n e} when v is K-independent
     of it: with the rows before, they Q-span the K-span, so the test stays exact.
     Each step is row[p] v - v[p] row."""
     v = _primitive(v)[1]
-    for k in range(ring[0]):
-        v = _times_t(ring, v) if k else v
+    for k in range(field.degree):
+        v = _times_t(field, v) if k else v
         for p, row in basis:
             c = v[p]
             if c:
@@ -237,13 +230,12 @@ def _recheck_word(field: Field, n: int, entries: dict, word, j: int, image):
         out = [[0] * e for _ in range(n)]
         for (row, col, _), a in zip(entries[m], coords):
             out[row] = list(map(operator.add, out[row], field.times(a, check[col])))
-        scale, check = scale * step, out
+        scale, check = scale * step * field.scale, out
     if not any(flat) or any(x * den != y * scale for x, y in zip(sum(check, []), flat)):
         raise ArithmeticError("strong-nilpotence word failed re-verification")
 
 
 def _scalars(field: Field, vec):
     """The vector (den, flat integer coordinates) as a list of Scalars."""
-    (den, coords), e, zero = vec, field.degree, Fraction(0)
-    fractions = [Fraction(c, den) if c else zero for c in coords]
-    return [Scalar(field, tuple(fractions[k:k + e])) for k in range(0, len(coords), e)]
+    (den, coords), e = vec, field.degree
+    return [field.fraction(tuple(coords[k:k + e]), den) for k in range(0, len(coords), e)]

@@ -12,14 +12,14 @@ polynomial" layout).  Each operand is written once as integer numerators over
 its common denominator, so a term pair costs integer products only: one over
 Q, over Q[t]/(m) the schoolbook product of the nonzero coordinates.  A sum's
 products accumulate unreduced in one integer dict over the lcm L of its pair
-denominators; each monomial is folded modulo m once by `Field.reduce`, and each
-nonzero coordinate becomes one Fraction over L.  Stored coefficients stay
-`Scalar`s with Fraction coordinates.
+denominators; each monomial is folded modulo m once by `Field.reduce` and
+stored as one Scalar over L, reduced by one gcd (`Field.fraction`).  Scalars
+hold integer numerators, so the kernels read them without conversion.
 
 A power of an affine form is expanded by the multinomial theorem on the same
 integer coordinates, where no two compositions of the exponent give the same
-monomial; other powers are repeated squaring.  `is_pure_power` reads its
-candidate off the coefficients of x_p^d and x_p^(d-1) x_j and expands it once.
+monomial; other powers, and all over a non-integral m, are repeated squaring.
+`is_pure_power` reads its candidate off x_p^d and x_p^(d-1) x_j, expands once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from operator import add, mul
 
 from .exactfield import Field, Scalar
@@ -43,15 +43,15 @@ __all__ = [
     "lift_to_field",
     "sums_of_products",
     "substitute_all",
+    "evaluate_all",
 ]
-
-_ZERO = Fraction(0)
 
 
 def _numerators(scalars):
     """(D, [[n_i]]): each Scalar's coordinates as integer numerators over D, their lcm."""
-    den = math.lcm(*(c.denominator for s in scalars for c in s.coords))
-    return den, [[c.numerator * (den // c.denominator) for c in s.coords] for s in scalars]
+    den = math.lcm(*(s.den for s in scalars))
+    return den, [s.nums if s.den == den else [n * (den // s.den) for n in s.nums]
+                 for s in scalars]
 
 
 def _integer_terms(terms):
@@ -84,7 +84,7 @@ def sums_of_products(field: Field, nvars: int, sums) -> list:
                     for e2, [(_, b)] in right:
                         exps = e1 if e2 is None else tuple(map(add, e1, e2))
                         acc[exps] = acc.get(exps, 0) + a * b
-            out.append(MultiPoly(field, nvars, {e: Scalar(field, (Fraction(c, den),))
+            out.append(MultiPoly(field, nvars, {e: field.fraction((c,), den)
                                                 for e, c in acc.items() if c}))
             continue
         width = 2 * field.degree - 1
@@ -100,12 +100,11 @@ def sums_of_products(field: Field, nvars: int, sums) -> list:
                     for i, x in a:
                         for j, y in b:
                             prod[i + j] += x * y
-        terms = {}
+        terms, den = {}, den * field.scale
         for exps, prod in acc.items():
             coords = field.reduce(prod)
             if any(coords):
-                terms[exps] = Scalar(field, tuple(Fraction(c, den) if c else _ZERO
-                                                  for c in coords))
+                terms[exps] = field.fraction(tuple(coords), den)
         out.append(MultiPoly(field, nvars, terms))
     return out
 
@@ -152,6 +151,20 @@ def substitute_all(polys, assignment, nvars: int | None = None) -> list:
             yield 1, shared[exps], coeff
 
     return sums_of_products(field, target_nvars, [list(pairs(p)) for p in polys])
+
+
+def evaluate_all(polys, point) -> list:
+    """Each of `polys`, from one ring, at a point of scalars: sum_e c_e prod_i x_i^(e_i),
+    each power x_i^k built once, terms with a zero x_i skipped."""
+    field = polys[0].field
+    if len(point) != polys[0].nvars:
+        raise ValueError("point must cover all variables")
+    point = [_coerce_coeff(field, x) for x in point]
+    zeros = [i for i, x in enumerate(point) if x.is_zero()]
+    power = cache(lambda i, k: point[i] ** k)
+    return [sum((reduce(mul, [power(i, k) for i, k in enumerate(e) if k], c)
+                 for e, c in p.terms.items() if not any(e[i] for i in zeros)), field.zero())
+            for p in polys]
 
 
 def _coerce_coeff(field: Field, value) -> Scalar:
@@ -296,7 +309,8 @@ class MultiPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers need a non-negative integer exponent")
-        if exponent > 1 and self.terms and all(sum(e) <= 1 for e in self.terms):
+        if exponent > 1 and self.field.scale == 1 and self.terms and all(
+                sum(e) <= 1 for e in self.terms):
             return self._affine_power(exponent)
         result = MultiPoly.constant(self.field, self.nvars, 1)
         base = self
@@ -339,10 +353,10 @@ class MultiPoly:
                 if t < last:
                     walk(t + 1, left - k, weight, part)
                 else:
-                    terms[tuple(exps)] = Scalar(field, tuple(
-                        Fraction(weight * x, scale) if x else _ZERO for x in part))
+                    terms[tuple(exps)] = field.fraction(tuple([weight * x for x in part]), scale)
 
         walk(0, d, 1, one)
+        del walk  # the recursive closure is a reference cycle: refcounting now frees the tables
         return MultiPoly(field, self.nvars, terms)
 
     # -- calculus and substitution ----------------------------------------
@@ -357,7 +371,7 @@ class MultiPoly:
                 continue
             new = list(exps)
             new[index] = e - 1
-            terms[tuple(new)] = Scalar(self.field, tuple(c * e for c in coeff.coords))
+            terms[tuple(new)] = self.field.fraction(tuple([n * e for n in coeff.nums]), coeff.den)
         return MultiPoly(self.field, self.nvars, terms)
 
     def substitute(self, assignment, nvars: int | None = None) -> "MultiPoly":
@@ -365,10 +379,8 @@ class MultiPoly:
         return substitute_all([self], assignment, nvars)[0]
 
     def evaluate(self, point) -> Scalar:
-        """Exact value at a point of scalars."""
-        if len(point) != self.nvars:
-            raise ValueError("point must cover all variables")
-        return self.substitute(point, nvars=0).constant_term()
+        """Exact value at a point of scalars; see `evaluate_all`."""
+        return evaluate_all([self], point)[0]
 
     def __eq__(self, other):
         rhs = self._coerce(other)
@@ -432,8 +444,9 @@ def lift_to_field(poly: MultiPoly, field: Field) -> MultiPoly:
         return poly
     if not poly.field.is_rational:
         raise ValueError("can only lift from the rational base field")
+    pad = (0,) * (field.degree - 1)
     return MultiPoly(field, poly.nvars,
-                     {e: field.scalar(c.coords[0]) for e, c in poly.terms.items()})
+                     {e: field.fraction(c.nums + pad, c.den) for e, c in poly.terms.items()})
 
 
 def divide_exact(num: MultiPoly, den: MultiPoly):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from . import linalg
 from .exactfield import Field
-from .multipoly import MultiPoly, divide_exact, substitute_all, sums_of_products, variables
+from .multipoly import (MultiPoly, divide_exact, evaluate_all, substitute_all, sums_of_products,
+                        variables)
 
 __all__ = [
     "PolyMap",
@@ -73,7 +74,7 @@ class PolyMap:
         return all(c.constant_term().is_zero() for c in self.components)
 
     def evaluate(self, point):
-        return tuple(c.constant_term() for c in substitute_all(self.components, point, nvars=0))
+        return tuple(evaluate_all(self.components, point))
 
     def __add__(self, other):
         if not isinstance(other, PolyMap):

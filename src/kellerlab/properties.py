@@ -58,7 +58,6 @@ pairing is an integer convolution folded by `Field.reduce`.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import cache, cached_property, partial, reduce
 from itertools import repeat
 
@@ -217,7 +216,7 @@ def _point_witness(det: MultiPoly, monomials, n: int, count: int, full_det):
             if restricted.is_zero():
                 if full_det().is_zero():
                     return zeros
-                roots = [Fraction(0)]
+                roots = [0]
             elif restricted.is_constant():
                 continue
             else:
@@ -251,12 +250,11 @@ def _pattern_points(field: Field, n: int, count: int, m: int, j: int, s_value: S
 
 def _sum_vanishes_at(jf: PolyMatrix, field: Field, points) -> bool:
     """Is the sum of JF at the points, a scalar matrix over `field`, singular?"""
-    lifted = jf.map_entries(lambda e: lift_to_field(e, field))
-    total = [[field.zero()] * jf.cols for _ in range(jf.rows)]
-    for point in points:
-        total = [[acc + e.constant_term() for acc, e in zip(sums, row)]
-                 for sums, row in zip(total, lifted.substitute(point, nvars=0).entries)]
-    return linalg.rank(total) < jf.rows
+    entries = PolyMap([lift_to_field(e, field) for row in jf.entries for e in row])
+    weighted = ([v * m if m > 1 else v for v in entries.evaluate(p)]  # each distinct point once
+                for k, p in enumerate(points) if p not in points[:k] for m in [points.count(p)])
+    total = [sum(values, field.zero()) for values in zip(*weighted)]
+    return linalg.rank([total[i:i + jf.cols] for i in range(0, len(total), jf.cols)]) < jf.rows
 
 
 def check_sum_condition(map_: PolyMap, count: int, label: str = "sum_condition") -> PropertyReport:

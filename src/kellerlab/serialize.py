@@ -9,11 +9,12 @@ MultiPoly leaves, each written in one piece, and `dump` streams the text into
 a file, so no report is held whole as dicts or as a string.  A map file has
 at most 256 variables, and its min_poly has degree at most 64 and, from
 degree 2 on, must be proven irreducible (`field_from_json`); the library's
-`PolyMap` and `Field` have none of these bounds.
+`PolyMap` and `Field` have none of these bounds, nor `StarCertificate` a size bound.
 """
 
 from __future__ import annotations
 
+import math
 from json.encoder import encode_basestring_ascii as _quote
 
 from .exactfield import Field, Scalar, is_cyclotomic_or_eisenstein, rational_roots
@@ -62,7 +63,7 @@ def field_from_json(data: dict) -> Field:
 
 
 def scalar_to_json(value: Scalar) -> list:
-    return [str(c) for c in value.coords]
+    return value.texts()
 
 
 def scalar_from_json(data, field: Field) -> Scalar:
@@ -135,12 +136,22 @@ def certificate_to_json(cert: StarCertificate) -> dict:
                          "b": [scalar_to_json(v) for v in b]} for c, d, b in cert.triples]}
 
 
+# (c^t x)^d with k nonzero c_i has C(d + k - 1, d) terms of about d bits.  In sum_i d_i
+# C(d_i + k_i - 1, d_i), f667 at d = 8 weighs 5984; (x1 + x2)^2000, 4 002 000, is 0.34 s
+_MAX_CERTIFICATE_WEIGHT = 10 ** 6
+
+
 def certificate_from_json(data: dict, field: Field) -> StarCertificate:
-    triples = []
+    """ValueError past _MAX_CERTIFICATE_WEIGHT, before any power is expanded."""
+    triples, weight = [], 0
     for t in data["triples"]:
         c = LinearForm(field, [scalar_from_json(v, field) for v in t["c"]])
         b = [scalar_from_json(v, field) for v in t["b"]]
-        triples.append((c, _natural(t["d"], "certificate power d"), b))
+        d, k = _natural(t["d"], "certificate power d"), sum(not v.is_zero() for v in c.coeffs)
+        weight += d * math.comb(d + k - 1, d) if k else 0
+        if weight > _MAX_CERTIFICATE_WEIGHT:
+            raise ValueError(f"certificate powers weigh more than {_MAX_CERTIFICATE_WEIGHT}")
+        triples.append((c, d, b))
     return StarCertificate(data["level"], triples)
 
 
@@ -225,7 +236,7 @@ def _poly_text(poly: MultiPoly, newline: str) -> str:
     term = (f'{{{i3}"coeff": [{i4}"%s"{i3}],{i3}"exps": '
             + (f"[{i4}%s{i3}]" if poly.nvars else "[]%.0s") + i2 + "}")
     sep, comma = f'",{i4}"', "," + i4
-    terms = ("," + i2).join([term % (sep.join(map(str, c.coords)), comma.join(map(str, e)))
+    terms = ("," + i2).join([term % (sep.join(c.texts()), comma.join(map(str, e)))
                              for e, c in sorted(poly.terms.items())])
     return (f'{{{i1}"nvars": {poly.nvars},{i1}"terms": '
             + (f"[{i2}{terms}{i1}]" if terms else "[]") + newline + "}")

@@ -453,3 +453,19 @@ def test_wide_map_is_input_error(monkeypatch, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: nvars is 2000, above the map-file bound 256")
         assert "Traceback" not in err
+
+
+def test_certify_a_huge_certificate_power_is_input_error(tmp_path, capsys):
+    # (x1 + x2)^20000 against the zero map in 3 variables: the expansion ran until
+    # killed; the certificate file's size bound refuses it before expanding
+    import time
+
+    map_path, cert_path = tmp_path / "map.json", tmp_path / "cert.json"
+    map_path.write_text(json.dumps({"field": {"min_poly": ["0", "1"]}, "nvars": 3,
+                                    "components": [{"nvars": 3, "terms": []}] * 3}))
+    cert_path.write_text('{"level":"star","triples":[{"c":["1","1","0"],"d":20000,"b":["0","0","1"]}]}')
+    assert len(cert_path.read_bytes()) <= 90
+    start = time.perf_counter()
+    assert main(["certify", str(map_path), str(cert_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "certificate powers weigh more than" in capsys.readouterr().err

@@ -432,3 +432,92 @@ def test_integer_root_test_matches_fraction_evaluation_fuzz():
     for coeffs in ([-(10 ** 11), 0, 1], [1, 0, 10 ** 10 + 1], [0, -(10 ** 11), 3]):
         assert rational_roots(coeffs) is None and _fraction_roots(coeffs) is None
     assert rational_roots([-(10 ** 10), 0, 1]) == [-(10 ** 5), 10 ** 5]
+
+
+# -- integer numerators over one denominator: every Scalar is canonical ---------
+
+_CANONICAL_FIELDS = (QQ, Field(cyclotomic(5)), Field([Fraction(25, 4), 0, 1]))
+
+
+def _assert_canonical(value):
+    """nums / den with den > 0, gcd(den, nums) = 1, zero as 0/1, and coords its view."""
+    nums, den = value.nums, value.den
+    assert type(den) is int and den > 0, value
+    assert len(nums) == value.field.degree and all(type(n) is int for n in nums), value
+    assert math.gcd(den, *nums) == 1, value
+    assert any(nums) or den == 1, value
+    assert value.coords == tuple(Fraction(n, den) for n in nums)
+
+
+def _coordinates(field):
+    return st.lists(_COORDINATE, min_size=field.degree, max_size=field.degree)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_CANONICAL_FIELDS), st.data())
+def test_every_scalar_operation_is_canonical_property(field, data):
+    a, b = (field.element(data.draw(_coordinates(field))) for _ in range(2))
+    texts = [str(c) for c in data.draw(_coordinates(field))]
+    made = [a + b, a - b, a * b, -a, a ** data.draw(st.integers(0, 5)), a - a, a * 0,
+            field.scalar(data.draw(_COORDINATE)), field.scalar(str(data.draw(_COORDINATE))),
+            field.element(texts), field.generator(), field.zero(), field.one()]
+    assert (a * b).coords == _ref_mul(a, b)
+    assert (a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+    assert field.element(texts).coords == tuple(Fraction(c) for c in texts)
+    if not b.is_zero():
+        made += [a / b, b.inverse()]
+        assert b.inverse().coords == _ref_inverse(b)
+    for value in made:
+        _assert_canonical(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_CANONICAL_FIELDS), st.data())
+def test_every_kernel_output_is_canonical_property(field, data):
+    from kellerlab import linalg
+    from kellerlab.multipoly import MultiPoly, sums_of_products
+
+    def scalar():
+        return field.element(data.draw(_coordinates(field)))
+
+    def poly(max_exponent, size):
+        exps = data.draw(st.lists(st.tuples(*[st.integers(0, max_exponent)] * 3), max_size=size))
+        return MultiPoly.from_terms(field, 3, [(e, scalar()) for e in exps])
+
+    p, q = poly(2, 4), poly(2, 4)
+    affine = MultiPoly.from_terms(field, 3, [(e, scalar()) for e in
+                                             ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    polys = sums_of_products(field, 3, [[(2, p, q), (-1, q, scalar())], [(1, p, p)]])
+    polys += [p * q, affine ** data.draw(st.integers(2, 4))]
+    polys += [r.partial_derivative(i) for r in (p, q) for i in range(3)]
+    made = [c for r in polys for c in r.terms.values()]
+    vectors = [[scalar() for _ in range(3)] for _ in range(data.draw(st.integers(0, 3)))]
+    made += [c for row in linalg.adapted_basis(field, 3, vectors) for c in row]
+    # strictly lower triangular A_m give the flag's T; a full A_m, most often a word
+    entries = {(k,): [(i, j, scalar()) for i in range(3) for j in range(3)
+                      if i > j or data.draw(st.booleans())] for k in range(2)}
+    t_grid, word = linalg.flag(field, 3, entries)
+    made += [c for row in t_grid for c in row] if word is None else list(word[2])
+    for value in made:
+        _assert_canonical(value)
+
+
+def test_only_exactfield_builds_scalars_or_reads_coords():
+    # every Scalar comes through the reducing Field.fraction, so equality may compare
+    # numerators and denominators; coords is a Fraction view for callers outside
+    import ast
+    import pathlib
+
+    import kellerlab
+
+    leaked = []
+    for path in sorted(pathlib.Path(kellerlab.__file__).parent.glob("*.py")):
+        if path.name == "exactfield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "Scalar" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                leaked.append((path.name, node.lineno, "Scalar(...)"))
+            if isinstance(node, ast.Attribute) and node.attr == "coords":
+                leaked.append((path.name, node.lineno, ".coords"))
+    assert not leaked

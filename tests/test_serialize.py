@@ -312,3 +312,85 @@ def test_map_from_json_bounds_nvars():
     assert serialize.map_from_json(wide(256)).nvars == 256
     with pytest.raises(ValueError, match="above the map-file bound 256"):
         serialize.map_from_json(dict(wide(257), components=None))
+
+
+# -- scalar text from integer numerators; certificate size bound --------------
+
+def _fraction_reader(value):
+    """What a coordinate of a map file read as before integer storage: ints and
+    strings through Fraction, every other JSON value a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(type(value).__name__)
+    return Fraction(value)
+
+
+def _outcome(read, value):
+    try:
+        return read(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+_EDGE_TEXTS = ["2/4", "-0", "0/5", " 3", "1e3", "1.5", "1/0", "-6/8", "+1", "1_000", "0x10",
+               "", "/", "1/2/3", "nan", "١", str(10 ** 30) + "/" + str(6 * 10 ** 29)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(_EDGE_TEXTS), st.text(alphabet="-+/ .e0123456789", max_size=5),
+                 st.fractions().map(str), st.integers(), st.booleans(), st.floats(), st.none()),
+       st.sampled_from([QQ, Field(cyclotomic(5)), Field([Fraction(25, 4), 0, 1])]))
+def test_scalar_reader_accepts_and_refuses_what_fraction_did(value, field):
+    from kellerlab.cli import _INPUT_ERRORS
+
+    expected = _outcome(_fraction_reader, value)
+    for read in (lambda v: serialize.scalar_from_json([v], field),
+                 lambda v: serialize.scalar_from_json(v, field) if isinstance(v, str) else
+                 serialize.scalar_from_json([v], field)):
+        got = _outcome(read, value)
+        if isinstance(expected, type):
+            assert got is expected and issubclass(got, _INPUT_ERRORS), (value, got)
+        else:
+            assert got.coords == (expected,) + (0,) * (field.degree - 1), value
+            assert serialize.scalar_to_json(got)[0] == str(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, Field(cyclotomic(5)), Field([Fraction(25, 4), 0, 1])]), st.data())
+def test_scalar_writer_matches_str_of_fraction(field, data):
+    coords = data.draw(st.lists(st.fractions(max_denominator=10 ** 12), min_size=field.degree,
+                                max_size=field.degree))
+    value = field.element(coords)
+    for v in (value, value * value, -value):
+        assert serialize.scalar_to_json(v) == [str(c) for c in v.coords]
+    assert serialize.scalar_to_json(value) == [str(c) for c in coords]
+
+
+def test_certificate_bound_admits_every_family_certificate():
+    # the benchmark's certified families, and the degrees the tests build, round trip
+    for kind in ("f666", "f667"):
+        for d in range(2, 9):
+            for nu in (None, Fraction(0)):
+                cert = family_certificate(FamilySpec(kind, d, nu=nu))
+                data = json.loads(json.dumps(serialize.certificate_to_json(cert)))
+                assert serialize.certificate_from_json(data, cert.field) == cert
+    for kind in ("small2", "small3"):
+        cert = family_certificate(FamilySpec(kind, 3))
+        assert serialize.certificate_from_json(serialize.certificate_to_json(cert), QQ) == cert
+
+
+def test_certificate_bound_refuses_a_huge_power_before_expanding_it():
+    import time
+
+    def cert(d, c):
+        return {"level": "star", "triples": [{"c": c, "d": d, "b": ["0", "0", "1"]}]}
+
+    # sum_i d_i C(d_i + k_i - 1, d_i): 1000 * 1001 and 10^6 * 1 pass, one more does not
+    assert serialize.certificate_from_json(cert(999, ["1", "1", "0"]), QQ).count == 1
+    assert serialize.certificate_from_json(cert(10 ** 6, ["0", "1", "0"]), QQ).count == 1
+    assert serialize.certificate_from_json(cert(10 ** 9, ["0", "0", "0"]), QQ).count == 1
+    start = time.perf_counter()
+    for d, c in ((1000, ["1", "1", "0"]), (10 ** 6 + 1, ["0", "1", "0"]),
+                 (20000, ["1", "1", "0"]), (10 ** 4000, ["1", "1", "1"])):
+        with pytest.raises(ValueError, match="certificate powers weigh more than 1000000"):
+            serialize.certificate_from_json(cert(d, c), QQ)
+    assert time.perf_counter() - start < 0.5
