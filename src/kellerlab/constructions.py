@@ -259,8 +259,8 @@ def gz_example() -> GZInstance:
         [0, 0, 0, 0, 0, 0, 0, 1, 1, -2, -1, -1, 2],
         [0, 0, 1, 1, -2, 0, 0, 0, 0, 0, 0, 0, 0],
     ]
-    b_grid = tuple(tuple(QQ.scalar(v) for v in row) for row in rows)
-    c_grid = tuple(tuple(row) for row in linalg.right_inverse([list(r) for r in b_grid], QQ))
+    b_grid = tuple([tuple([QQ.scalar(v) for v in row]) for row in rows])
+    c_grid = tuple([tuple(row) for row in linalg.right_inverse([list(r) for r in b_grid], QQ)])
     return GZInstance(H=h_map, G=g_map, B=b_grid, C=c_grid, scale=QQ.scalar(6))
 
 

@@ -120,15 +120,15 @@ class Field:
     __slots__ = ("min_poly", "fold", "fold_den", "scale", "_zero", "_one")
 
     def __init__(self, min_poly):
-        coeffs = tuple(as_fraction(c) for c in min_poly)
+        coeffs = tuple([as_fraction(c) for c in min_poly])
         if len(coeffs) < 2:
             raise ValueError("min_poly must have degree at least 1")
         if coeffs[-1] != 1:
             raise ValueError("min_poly must be monic")
         self.min_poly = coeffs
         # t^deg = sum_i c_i t^i / fold_den over the nonzero m_i, integers c_i = -m_i fold_den
-        self.fold_den = math.lcm(*(c.denominator for c in coeffs))
-        self.fold = tuple((i, int(-c * self.fold_den)) for i, c in enumerate(coeffs[:-1]) if c)
+        self.fold_den = math.lcm(*[c.denominator for c in coeffs])
+        self.fold = tuple([(i, int(-c * self.fold_den)) for i, c in enumerate(coeffs[:-1]) if c])
         self.scale = self.fold_den ** (len(coeffs) - 2)
         # one shared zero and one per field; Scalars are immutable, so nothing changes them
         self._zero, self._one = self.scalar(0), self.scalar(1)
@@ -177,16 +177,16 @@ class Field:
         pairs = [_ratio(c) for c in coords]
         if len(pairs) > self.degree:
             raise ValueError("coordinate vector longer than the field degree")
-        den = math.lcm(*(q for _, q in pairs))
-        return self.fraction(tuple([p * (den // q) for p, q in pairs]
-                                   + [0] * (self.degree - len(pairs))), den)
+        den = math.lcm(*[q for _, q in pairs])
+        return self.fraction([p * (den // q) for p, q in pairs]
+                             + [0] * (self.degree - len(pairs)), den)
 
     def fraction(self, nums, den: int) -> "Scalar":
-        """The Scalar nums / den, for a tuple of integers and an integer den > 0, reduced."""
+        """The Scalar nums / den for integers nums (a list or tuple) and den > 0, reduced."""
         g = math.gcd(den, *nums)
         if g != 1:
-            nums, den = tuple([n // g for n in nums]), den // g
-        return Scalar(self, nums, den)
+            return Scalar(self, tuple([n // g for n in nums]), den // g)
+        return Scalar(self, tuple(nums), den)
 
     def zero(self) -> "Scalar":
         return self._zero
@@ -225,7 +225,7 @@ class Scalar:
     @property
     def coords(self) -> tuple:
         """The power-basis coordinates as Fractions."""
-        return tuple(Fraction(n, self.den) for n in self.nums)
+        return tuple([Fraction(n, self.den) for n in self.nums])
 
     def texts(self) -> list:
         """Each coordinate as str(Fraction) writes it: "n", or "n/d" in lowest terms."""
@@ -256,13 +256,15 @@ class Scalar:
             return NotImplemented
         g = math.gcd(self.den, rhs.den)
         a, b = rhs.den // g, self.den // g * sign
-        return self.field.fraction(tuple([x * a + y * b for x, y in zip(self.nums, rhs.nums)]),
+        if len(self.nums) == 1:
+            return self.field.fraction((self.nums[0] * a + rhs.nums[0] * b,), self.den * a)
+        return self.field.fraction([x * a + y * b for x, y in zip(self.nums, rhs.nums)],
                                    self.den * a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.field.fraction(tuple([-n for n in self.nums]), self.den)
+        return Scalar(self.field, tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other):
         return self.__add__(other, -1)
@@ -274,8 +276,7 @@ class Scalar:
         field = self.field
         if len(self.nums) == 1:
             return field.fraction((self.nums[0] * rhs.nums[0],), self.den * rhs.den)
-        return field.fraction(tuple(field.times(self.nums, rhs.nums)),
-                              self.den * rhs.den * field.scale)
+        return field.fraction(field.times(self.nums, rhs.nums), self.den * rhs.den * field.scale)
 
     __rmul__ = __mul__
 
@@ -411,7 +412,7 @@ def is_cyclotomic_or_eisenstein(coeffs) -> bool:
     factored past _ROOT_SEARCH_LIMIT.
     """
     coeffs = [as_fraction(c) for c in coeffs]
-    den = math.lcm(*(c.denominator for c in coeffs))
+    den = math.lcm(*[c.denominator for c in coeffs])
     ints = [int(c * den) for c in coeffs]
     deg = len(ints) - 1
     if den == 1 and ints[0] == 1 and ints == ints[::-1]:

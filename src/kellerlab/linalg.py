@@ -238,4 +238,4 @@ def _recheck_word(field: Field, n: int, entries: dict, word, j: int, image):
 def _scalars(field: Field, vec):
     """The vector (den, flat integer coordinates) as a list of Scalars."""
     (den, coords), e = vec, field.degree
-    return [field.fraction(tuple(coords[k:k + e]), den) for k in range(0, len(coords), e)]
+    return [field.fraction(coords[k:k + e], den) for k in range(0, len(coords), e)]

@@ -3,7 +3,9 @@
 Terms live in a dict keyed by exponent tuples (length nvars); zero
 coefficients are never stored.  Monomials compare by plain tuple order,
 which is the lexicographic order with the first variable heaviest; that
-order drives leading-term division and deterministic serialization.
+order drives leading-term division and deterministic serialization.  Tuples
+are built at their length, from a list: CPython resizes one built from an
+iterator, which then skips the free list of its length but, freed, fills it.
 
 Every sum of products, a product included, is one call of `sums_of_products`:
 sum_k w_k a_k b_k for integer weights w_k (after the one-pass sums of Monagan
@@ -43,15 +45,13 @@ __all__ = [
     "lift_to_field",
     "sums_of_products",
     "substitute_all",
-    "evaluate_all",
 ]
 
 
 def _numerators(scalars):
     """(D, [[n_i]]): each Scalar's coordinates as integer numerators over D, their lcm."""
-    den = math.lcm(*(s.den for s in scalars))
-    return den, [s.nums if s.den == den else [n * (den // s.den) for n in s.nums]
-                 for s in scalars]
+    den = math.lcm(*[s.den for s in scalars])
+    return den, [s.nums if s.den == den else [n * (den // s.den) for n in s.nums] for s in scalars]
 
 
 def _integer_terms(terms):
@@ -74,7 +74,7 @@ def sums_of_products(field: Field, nvars: int, sums) -> list:
     for items in sums:
         pairs = [(w, *integer(a), *integer(b)) for w, a, b in items
                  if w and a.terms and not b.is_zero()]
-        den = math.lcm(*(da * db for _, da, _, db, _ in pairs))
+        den = math.lcm(*[da * db for _, da, _, db, _ in pairs])
         acc = {}
         if field.degree == 1:
             for w, da, left, db, right in pairs:
@@ -82,7 +82,7 @@ def sums_of_products(field: Field, nvars: int, sums) -> list:
                 for e1, [(_, a)] in left:
                     a *= scale
                     for e2, [(_, b)] in right:
-                        exps = e1 if e2 is None else tuple(map(add, e1, e2))
+                        exps = e1 if e2 is None else (*map(add, e1, e2),)
                         acc[exps] = acc.get(exps, 0) + a * b
             out.append(MultiPoly(field, nvars, {e: field.fraction((c,), den)
                                                 for e, c in acc.items() if c}))
@@ -93,7 +93,7 @@ def sums_of_products(field: Field, nvars: int, sums) -> list:
             for e1, a in left:
                 a = [(i, x * scale) for i, x in a]
                 for e2, b in right:
-                    exps = e1 if e2 is None else tuple(map(add, e1, e2))
+                    exps = e1 if e2 is None else (*map(add, e1, e2),)
                     prod = acc.get(exps)
                     if prod is None:
                         prod = acc[exps] = [0] * width
@@ -104,7 +104,7 @@ def sums_of_products(field: Field, nvars: int, sums) -> list:
         for exps, prod in acc.items():
             coords = field.reduce(prod)
             if any(coords):
-                terms[exps] = field.fraction(tuple(coords), den)
+                terms[exps] = field.fraction(coords, den)
         out.append(MultiPoly(field, nvars, terms))
     return out
 
@@ -154,8 +154,7 @@ def substitute_all(polys, assignment, nvars: int | None = None) -> list:
 
 
 def evaluate_all(polys, point) -> list:
-    """Each of `polys`, from one ring, at a point of scalars: sum_e c_e prod_i x_i^(e_i),
-    each power x_i^k built once, terms with a zero x_i skipped."""
+    """Each of `polys`, from one ring, at a point of scalars: sum_e c_e prod_i x_i^(e_i)."""
     field = polys[0].field
     if len(point) != polys[0].nvars:
         raise ValueError("point must cover all variables")
@@ -201,7 +200,7 @@ class MultiPoly:
     def variable(cls, field: Field, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise IndexError("variable index out of range")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
+        exps = tuple([1 if i == index else 0 for i in range(nvars)])
         return cls(field, nvars, {exps: field.one()})
 
     @classmethod
@@ -353,7 +352,7 @@ class MultiPoly:
                 if t < last:
                     walk(t + 1, left - k, weight, part)
                 else:
-                    terms[tuple(exps)] = field.fraction(tuple([weight * x for x in part]), scale)
+                    terms[tuple(exps)] = field.fraction([weight * x for x in part], scale)
 
         walk(0, d, 1, one)
         del walk  # the recursive closure is a reference cycle: refcounting now frees the tables
@@ -371,7 +370,7 @@ class MultiPoly:
                 continue
             new = list(exps)
             new[index] = e - 1
-            terms[tuple(new)] = self.field.fraction(tuple([n * e for n in coeff.nums]), coeff.den)
+            terms[tuple(new)] = self.field.fraction([n * e for n in coeff.nums], coeff.den)
         return MultiPoly(self.field, self.nvars, terms)
 
     def substitute(self, assignment, nvars: int | None = None) -> "MultiPoly":
@@ -463,13 +462,13 @@ def divide_exact(num: MultiPoly, den: MultiPoly):
     quo = {}
     while rem:
         lead = max(rem)
-        diff = tuple(a - b for a, b in zip(lead, den_lead))
+        diff = tuple([a - b for a, b in zip(lead, den_lead)])
         if any(d < 0 for d in diff):
             return None
         c = rem[lead] / den_lc
         quo[diff] = c
         for exps, coeff in den.terms.items():
-            target = tuple(a + b for a, b in zip(diff, exps))
+            target = tuple([a + b for a, b in zip(diff, exps)])
             cur = rem.get(target, num.field.zero()) - c * coeff
             if cur.is_zero():
                 rem.pop(target, None)
@@ -485,7 +484,7 @@ class LinearForm:
 
     def __init__(self, field: Field, coeffs):
         self.field = field
-        self.coeffs = tuple(_coerce_coeff(field, c) for c in coeffs)
+        self.coeffs = tuple([_coerce_coeff(field, c) for c in coeffs])
 
     @classmethod
     def unit(cls, field: Field, nvars: int, index: int) -> "LinearForm":
@@ -507,7 +506,7 @@ class LinearForm:
     def to_poly(self) -> MultiPoly:
         return MultiPoly.from_terms(
             self.field, self.nvars,
-            [(tuple(1 if i == j else 0 for j in range(self.nvars)), c)
+            [(tuple([1 if i == j else 0 for j in range(self.nvars)]), c)
              for i, c in enumerate(self.coeffs) if not c.is_zero()])
 
     def __eq__(self, other):

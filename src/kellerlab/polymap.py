@@ -120,7 +120,7 @@ class PolyMatrix:
     __slots__ = ("field", "nvars", "rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
+        entries = tuple([tuple(row) for row in entries])
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one entry")
         field = entries[0][0].field

@@ -63,7 +63,7 @@ from itertools import repeat
 
 from . import linalg
 from .exactfield import Field, Scalar, rational_roots
-from .multipoly import (LinearForm, MultiPoly, _numerators, is_pure_power,
+from .multipoly import (LinearForm, MultiPoly, _numerators, evaluate_all, is_pure_power,
                         lift_to_field, sums_of_products, variables)
 from .polymap import (PolyMap, PolyMatrix, _forward_substitution, change_basis,
                       conjugation_grids, jacobian, linear_combinations, matrix_det,
@@ -175,7 +175,7 @@ def _generic_sum(jf: PolyMatrix, count: int):
     """(G, ms): G(lam) = count B_0 + sum_{m != 0} lam_m B_m for JF = sum_m x^m B_m,
     one lam per distinct nonconstant monomial m of JF, listed in `ms`."""
     monomials = sorted({m for row in jf.entries for e in row for m in e.terms if any(m)})
-    lam = {m: tuple(int(m == k) for k in monomials) for m in monomials}
+    lam = {m: tuple([int(m == k) for k in monomials]) for m in monomials}
     lam[(0,) * jf.nvars] = (0,) * len(monomials)
     return jf.map_entries(lambda e: MultiPoly(e.field, len(monomials), {
         lam[m]: c if any(m) else c * count for m, c in e.terms.items()})), monomials
@@ -250,9 +250,9 @@ def _pattern_points(field: Field, n: int, count: int, m: int, j: int, s_value: S
 
 def _sum_vanishes_at(jf: PolyMatrix, field: Field, points) -> bool:
     """Is the sum of JF at the points, a scalar matrix over `field`, singular?"""
-    entries = PolyMap([lift_to_field(e, field) for row in jf.entries for e in row])
-    weighted = ([v * m if m > 1 else v for v in entries.evaluate(p)]  # each distinct point once
-                for k, p in enumerate(points) if p not in points[:k] for m in [points.count(p)])
+    entries = [lift_to_field(e, field) for row in jf.entries for e in row]
+    weighted = [[v * m if m > 1 else v for v in evaluate_all(entries, p)]  # each point once
+                for k, p in enumerate(points) if p not in points[:k] for m in [points.count(p)]]
     total = [sum(values, field.zero()) for values in zip(*weighted)]
     return linalg.rank([total[i:i + jf.cols] for i in range(0, len(total), jf.cols)]) < jf.rows
 
@@ -379,7 +379,7 @@ class StarCertificate:
                 raise TypeError("certificate forms must be LinearForm values")
             if not isinstance(d, int) or d < 1:
                 raise ValueError("certificate powers must be integers >= 1")
-            b = tuple(c.field.scalar(v) for v in b)
+            b = tuple([c.field.scalar(v) for v in b])
             if nvars is None:
                 nvars = c.nvars
             if c.nvars != nvars or len(b) != nvars:
@@ -453,7 +453,7 @@ def _orthogonality_failure(cert: StarCertificate):
     for i, (_, _, b) in enumerate(cert.triples):
         b = _numerators(b)[1]
         for j in range(i + 1):
-            if any(map(sum, zip(*(field.times(a, b[k]) for k, a in forms[j])))):
+            if any(map(sum, zip(*[field.times(a, b[k]) for k, a in forms[j]]))):
                 return f"({i + 1},{j + 1})"
     return None
 

@@ -86,7 +86,7 @@ def _natural(value, what: str) -> int:
 
 def poly_from_json(data: dict, field: Field) -> MultiPoly:
     nvars = _natural(data["nvars"], "nvars")
-    items = [(tuple(_natural(e, "exponent") for e in t["exps"]),
+    items = [(tuple([_natural(e, "exponent") for e in t["exps"]]),
               scalar_from_json(t["coeff"], field))
              for t in data["terms"]]
     return MultiPoly.from_terms(field, nvars, items)

@@ -521,3 +521,29 @@ def test_only_exactfield_builds_scalars_or_reads_coords():
             if isinstance(node, ast.Attribute) and node.attr == "coords":
                 leaked.append((path.name, node.lineno, ".coords"))
     assert not leaked
+
+
+def test_no_tuple_is_built_from_an_iterator():
+    # tuple(<iterator>) and f(*<iterator>) build a tuple at a guessed length and resize
+    # it, so it skips the free list of its length yet joins it when freed; those lists
+    # then fill to 2000 tuples each and keep them until a full collection
+    import ast
+    import pathlib
+
+    import kellerlab
+
+    def lazy(node):
+        return isinstance(node, ast.GeneratorExp) or (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None)
+            in ("map", "filter", "zip", "reversed", "enumerate", "iter"))
+
+    found = []
+    for path in sorted(pathlib.Path(kellerlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", None) == "tuple" and node.args and lazy(node.args[0]):
+                found.append((path.name, node.lineno, "tuple(...)"))
+            if any(isinstance(a, ast.Starred) and lazy(a.value) for a in node.args):
+                found.append((path.name, node.lineno, "f(*...)"))
+    assert not found

@@ -384,7 +384,8 @@ def test_certificate_bound_refuses_a_huge_power_before_expanding_it():
     def cert(d, c):
         return {"level": "star", "triples": [{"c": c, "d": d, "b": ["0", "0", "1"]}]}
 
-    # sum_i d_i C(d_i + k_i - 1, d_i): 1000 * 1001 and 10^6 * 1 pass, one more does not
+    # sum_i d_i C(d_i + k_i - 1, d_i): 999 * 1000 and 10^6 * 1 pass; 1000 * 1001 and
+    # (10^6 + 1) * 1 do not
     assert serialize.certificate_from_json(cert(999, ["1", "1", "0"]), QQ).count == 1
     assert serialize.certificate_from_json(cert(10 ** 6, ["0", "1", "0"]), QQ).count == 1
     assert serialize.certificate_from_json(cert(10 ** 9, ["0", "0", "0"]), QQ).count == 1
