@@ -67,7 +67,14 @@ the best of 7 repeats is reported in microseconds per call.  The kernels:
   (`multipoly._numerators`, one call per vector);
 - `sum_vanishes_at_n4_d6`: the re-check of the `jc` point witness of the n4
   family at d = 6 (`properties._sum_vanishes_at`: the sum of JF at 5 points
-  over Q[t]/(t^2 + 25/4), singular).
+  over Q[t]/(t^2 + 25/4), singular);
+- `certificate_from_json_f667_d6`: `serialize.certificate_from_json` on the
+  parsed JSON of the f667 certificate at d = 6 (n = 14, over Q(zeta_6));
+- `round_trip_f666_d6`: the certificate round trip on the f666 family at
+  d = 6 with nu = 1 (n = 14): `triangularization_from_certificate`, then
+  `certificate_from_triangularization` on its T;
+- `identity_pl667_d9`: `identities.verify_identity("pl667", 9)`, powers of
+  linear forms and one sum over Q(zeta_9) in 20 variables.
 
 Prints one JSON object with the machine, the Python version, the repeat
 count and, per kernel, the calls per repeat and the best time per call.
@@ -86,7 +93,7 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from kellerlab import linalg, properties, serialize  # noqa: E402
+from kellerlab import identities, linalg, properties, serialize  # noqa: E402
 from kellerlab.constructions import (FamilySpec, family_certificate, gz_example,  # noqa: E402
                                      make_family)
 from kellerlab.exactfield import QQ, Field, cyclotomic  # noqa: E402
@@ -212,6 +219,11 @@ def kernels():
         make_family(FamilySpec("f667", 6)))))
     n4_d6_jf = jacobian(plus_identity(make_family(FamilySpec("n4", 6))))
     n4_d6_witness = properties._sum_condition(n4_d6_jf, 5)[1]
+    f667_d6_cert = json.loads(serialize.dumps(serialize.certificate_to_json(
+        family_certificate(FamilySpec("f667", 6)))))
+    f667_d6_field = serialize.map_from_json(f667_d6_data).field
+    f666_d6_map = make_family(FamilySpec("f666", 6, nu=1))
+    f666_d6_cert = family_certificate(FamilySpec("f666", 6, nu=1))
     return [
         ("fraction_mul", lambda: fa * fb, 20000),
         ("scalar_mul_q", lambda: qa * qb, 20000),
@@ -246,6 +258,12 @@ def kernels():
         ("numerators_adapted_basis_f667_d5", lambda: [_numerators(b) for b in f667_b], 50),
         ("sum_vanishes_at_n4_d6", lambda: properties._sum_vanishes_at(
             n4_d6_jf, n4_d6_witness["field"], n4_d6_witness["points"]), 20),
+        ("certificate_from_json_f667_d6",
+         lambda: serialize.certificate_from_json(f667_d6_cert, f667_d6_field), 5),
+        ("round_trip_f666_d6", lambda: properties.certificate_from_triangularization(
+            f666_d6_map, properties.triangularization_from_certificate(
+                f666_d6_cert, f666_d6_map.nvars)), 2),
+        ("identity_pl667_d9", lambda: identities.verify_identity("pl667", 9), 2),
     ]
 
 

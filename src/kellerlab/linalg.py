@@ -1,12 +1,12 @@
 """Exact linear algebra on small matrices of field scalars.
 
-Matrices are plain lists of lists of Scalar.  rref, rank, nullspace and the
+Matrices are plain lists of lists of Scalar.  rref, nullspace and the
 inverses run full Gauss-Jordan over the field; matrix sizes stay tiny
 throughout the package.
 
-The strong-nilpotence flag (`flag`) and its adapted basis (`adapted_basis`)
-take and return Scalars too, and are the only users of flat integer
-vectors: over K = Q(t) of degree e, a vector of K^n is
+`rank`, the strong-nilpotence flag (`flag`) and its adapted basis
+(`adapted_basis`) take and return Scalars too, and work on flat integer
+vectors, with no inverse: over K = Q(t) of degree e, a vector of K^n is
 (den, n e integers), a matrix acts by its regular representation (sparse
 integer triples on Q^{n e}), and K-independence is fraction-free elimination
 over Q with the t-multiples of each kept vector.
@@ -55,7 +55,10 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    """The number of rows `_extends` keeps, on their integer numerators: no inverse."""
+    basis = []
+    return sum([_extends(row[0].field, basis, [x for c in _numerators(row)[1] for x in c])
+                for row in rows if row])
 
 
 def nullspace(rows, ncols: int, field: Field):

@@ -14,9 +14,11 @@ polynomial" layout).  Each operand is written once as integer numerators over
 its common denominator, so a term pair costs integer products only: one over
 Q, over Q[t]/(m) the schoolbook product of the nonzero coordinates.  A sum's
 products accumulate unreduced in one integer dict over the lcm L of its pair
-denominators; each monomial is folded modulo m once by `Field.reduce` and
-stored as one Scalar over L, reduced by one gcd (`Field.fraction`).  Scalars
-hold integer numerators, so the kernels read them without conversion.
+denominators, each monomial folded modulo m once by `Field.reduce`.  The
+result keeps that integer form, content times integer polynomial: one D > 0
+and per monomial its nonzero coordinates, reduced by one content gcd; the next
+kernel reads it as it is.  `terms`, one Scalar per monomial, is built on its
+first read (`Field.fraction`), and replaces the integer form.
 
 A power of an affine form is expanded by the multinomial theorem on the same
 integer coordinates, where no two compositions of the exponent give the same
@@ -60,20 +62,32 @@ def _integer_terms(terms):
     return den, [(e, [(i, x) for i, x in enumerate(c) if x]) for e, c in zip(terms, coords)]
 
 
+def _integer_poly(field: Field, nvars: int, den: int, items, values) -> "MultiPoly":
+    """The MultiPoly held as `items` [(exps, [(i, n_i)])], nonzero n_i only, over den > 0,
+    each divided by the content gcd of den and `values`, the n_i."""
+    g = math.gcd(den, *values)
+    if g > 1:
+        den, items = den // g, [(e, [(i, x // g) for i, x in c]) for e, c in items]
+    poly = MultiPoly.__new__(MultiPoly)
+    poly.field, poly.nvars, poly._ints = field, nvars, (den, items)
+    return poly
+
+
 def sums_of_products(field: Field, nvars: int, sums) -> list:
     """For each sum of (w, a, b) triples, sum_k w_k a_k b_k: int w_k, MultiPoly a_k,
     and b_k a MultiPoly or a Scalar, all in the ring (field, nvars)."""
-    seen = {}  # id -> (operand, its `_integer_terms`); holding it keeps the id unique
+    seen = {}  # id -> (operand, its integer form); holding it keeps the id unique
 
     def integer(x):
         if id(x) not in seen:
-            seen[id(x)] = (x, *_integer_terms(x.terms if isinstance(x, MultiPoly) else {None: x}))
+            seen[id(x)] = (x, *((x.den, [(None, [(i, n) for i, n in enumerate(x.nums) if n])])
+                                if isinstance(x, Scalar) else x._ints or _integer_terms(x.terms)))
         return seen[id(x)][1:]
 
     out = []
     for items in sums:
-        pairs = [(w, *integer(a), *integer(b)) for w, a, b in items
-                 if w and a.terms and not b.is_zero()]
+        pairs = [(w, *integer(a), *integer(b)) for w, a, b in items  # a.is_zero(), inline
+                 if w and (a.terms if a._ints is None else a._ints[1]) and not b.is_zero()]
         den = math.lcm(*[da * db for _, da, _, db, _ in pairs])
         acc = {}
         if field.degree == 1:
@@ -84,8 +98,8 @@ def sums_of_products(field: Field, nvars: int, sums) -> list:
                     for e2, [(_, b)] in right:
                         exps = e1 if e2 is None else (*map(add, e1, e2),)
                         acc[exps] = acc.get(exps, 0) + a * b
-            out.append(MultiPoly(field, nvars, {e: field.fraction((c,), den)
-                                                for e, c in acc.items() if c}))
+            found = [(e, [(0, c)]) for e, c in acc.items() if c]
+            out.append(_integer_poly(field, nvars, den, found, acc.values()))
             continue
         width = 2 * field.degree - 1
         for w, da, left, db, right in pairs:
@@ -100,12 +114,13 @@ def sums_of_products(field: Field, nvars: int, sums) -> list:
                     for i, x in a:
                         for j, y in b:
                             prod[i + j] += x * y
-        terms, den = {}, den * field.scale
+        terms = []
         for exps, prod in acc.items():
-            coords = field.reduce(prod)
-            if any(coords):
-                terms[exps] = field.fraction(coords, den)
-        out.append(MultiPoly(field, nvars, terms))
+            coords = [(i, x) for i, x in enumerate(field.reduce(prod)) if x]
+            if coords:
+                terms.append((exps, coords))
+        out.append(_integer_poly(field, nvars, den * field.scale, terms,
+                                 [x for _, c in terms for _, x in c]))
     return out
 
 
@@ -166,9 +181,21 @@ def evaluate_all(polys, point) -> list:
             for p in polys]
 
 
+def _merged(terms: dict, items) -> dict:
+    """`terms` with each (exps, Scalar) of `items` added in turn, zero sums dropped."""
+    for exps, coeff in items:
+        c = terms.get(exps)
+        c = coeff if c is None else c + coeff
+        if c.is_zero():
+            terms.pop(exps, None)
+        else:
+            terms[exps] = c
+    return terms
+
+
 def _coerce_coeff(field: Field, value) -> Scalar:
     if isinstance(value, Scalar):
-        if value.field != field:
+        if value.field is not field and value.field != field:
             raise ValueError("coefficient belongs to a different field")
         return value
     return field.scalar(value)
@@ -177,13 +204,31 @@ def _coerce_coeff(field: Field, value) -> Scalar:
 class MultiPoly:
     """A sparse polynomial in ``nvars`` variables over a Field."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_ints")
 
     def __init__(self, field: Field, nvars: int, terms: dict):
         # terms must already be normalized; use the classmethods to build.
         self.field = field
         self.nvars = nvars
         self.terms = terms
+        self._ints = None
+
+    def __getattr__(self, name):
+        """`terms` of a polynomial in integer form (`_integer_poly`), built on first read."""
+        if name != "terms" or self._ints is None:
+            raise AttributeError(name)
+        (den, items), field = self._ints, self.field
+        if field.degree == 1:
+            terms = {e: field.fraction((x,), den) for e, [(_, x)] in items}
+        else:
+            terms = {}
+            for e, c in items:
+                nums = [0] * field.degree
+                for i, x in c:
+                    nums[i] = x
+                terms[e] = field.fraction(nums, den)
+        self.terms, self._ints = terms, None
+        return terms
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "MultiPoly":
@@ -205,24 +250,18 @@ class MultiPoly:
 
     @classmethod
     def from_terms(cls, field: Field, nvars: int, items) -> "MultiPoly":
-        terms = {}
+        checked = []
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            if len(exps) != nvars or min(exps, default=0) < 0:
                 raise ValueError("bad exponent vector")
-            c = _coerce_coeff(field, coeff)
-            if exps in terms:
-                c = terms[exps] + c
-            if c.is_zero():
-                terms.pop(exps, None)
-            else:
-                terms[exps] = c
-        return cls(field, nvars, terms)
+            checked.append((exps, _coerce_coeff(field, coeff)))
+        return cls(field, nvars, _merged({}, checked))
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self.terms if self._ints is None else self._ints[1])
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -268,15 +307,7 @@ class MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, coeff in rhs.terms.items():
-            c = terms.get(exps)
-            c = coeff if c is None else c + coeff
-            if c.is_zero():
-                terms.pop(exps, None)
-            else:
-                terms[exps] = c
-        return MultiPoly(self.field, self.nvars, terms)
+        return MultiPoly(self.field, self.nvars, _merged(dict(self.terms), rhs.terms.items()))
 
     __radd__ = __add__
 
@@ -311,9 +342,7 @@ class MultiPoly:
         if exponent > 1 and self.field.scale == 1 and self.terms and all(
                 sum(e) <= 1 for e in self.terms):
             return self._affine_power(exponent)
-        result = MultiPoly.constant(self.field, self.nvars, 1)
-        base = self
-        k = exponent
+        result, base, k = MultiPoly.constant(self.field, self.nvars, 1), self, exponent
         while k:
             if k & 1:
                 result = result * base
@@ -337,7 +366,7 @@ class MultiPoly:
                 powers.append((m * c[0], None) if not any(c[1:])
                               else (1, field.times(c, v or one)))
             tables.append((e.index(1) if any(e) else None, powers))
-        scale, last, exps, terms = den ** d, len(tables) - 1, [0] * self.nvars, {}
+        scale, last, exps, terms = den ** d, len(tables) - 1, [0] * self.nvars, []
 
         def walk(t, left, coef, prod):
             var, powers = tables[t]
@@ -352,11 +381,11 @@ class MultiPoly:
                 if t < last:
                     walk(t + 1, left - k, weight, part)
                 else:
-                    terms[tuple(exps)] = field.fraction([weight * x for x in part], scale)
+                    terms.append((tuple(exps), [(i, weight * x) for i, x in enumerate(part) if x]))
 
         walk(0, d, 1, one)
         del walk  # the recursive closure is a reference cycle: refcounting now frees the tables
-        return MultiPoly(field, self.nvars, terms)
+        return _integer_poly(field, self.nvars, scale, terms, [x for _, c in terms for _, x in c])
 
     # -- calculus and substitution ----------------------------------------
 

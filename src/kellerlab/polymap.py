@@ -39,14 +39,10 @@ class PolyMap:
         components = tuple(components)
         if not components:
             raise ValueError("a map needs at least one component")
-        field = components[0].field
-        nvars = components[0].nvars
-        for comp in components:
-            if comp.field != field or comp.nvars != nvars:
-                raise ValueError("components live in different rings")
-        self.field = field
-        self.nvars = nvars
-        self.components = components
+        first = components[0]
+        self.field, self.nvars, self.components = first.field, first.nvars, components
+        if any(comp.field != self.field or comp.nvars != self.nvars for comp in components):
+            raise ValueError("components live in different rings")
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "PolyMap":
@@ -117,26 +113,21 @@ def plus_identity(map_: PolyMap) -> PolyMap:
 class PolyMatrix:
     """A rectangular grid of polynomials over one shared ring."""
 
-    __slots__ = ("field", "nvars", "rows", "cols", "entries")
+    __slots__ = ("field", "nvars", "rows", "cols", "entries", "_grids")
 
     def __init__(self, entries):
         entries = tuple([tuple(row) for row in entries])
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one entry")
-        field = entries[0][0].field
-        nvars = entries[0][0].nvars
-        cols = len(entries[0])
+        field, nvars, cols = entries[0][0].field, entries[0][0].nvars, len(entries[0])
         for row in entries:
             if len(row) != cols:
                 raise ValueError("matrix rows have uneven lengths")
-            for e in row:
-                if e.field != field or e.nvars != nvars:
-                    raise ValueError("entries live in different rings")
-        self.field = field
-        self.nvars = nvars
-        self.rows = len(entries)
-        self.cols = cols
-        self.entries = entries
+            if any(e.field != field or e.nvars != nvars for e in row):
+                raise ValueError("entries live in different rings")
+        self.field, self.nvars, self.rows, self.cols, self.entries = (
+            field, nvars, len(entries), cols, entries)
+        self._grids = None  # (field, grid, inverse) once `conjugation_grids` has inverted it
 
     @classmethod
     def from_scalars(cls, field: Field, nvars: int, grid) -> "PolyMatrix":
@@ -170,11 +161,8 @@ class PolyMatrix:
         return [self.entries[i][i] for i in range(self.rows)]
 
     def is_lower_triangular(self, strict: bool = False) -> bool:
-        for i in range(self.rows):
-            for j in range(i if strict else i + 1, self.cols):
-                if not self.entries[i][j].is_zero():
-                    return False
-        return True
+        return all(row[j].is_zero() for i, row in enumerate(self.entries)
+                   for j in range(i if strict else i + 1, self.cols))
 
     def scale(self, factor) -> "PolyMatrix":
         return PolyMatrix([[e * factor for e in row] for row in self.entries])
@@ -251,17 +239,19 @@ def linear_combinations(grid, polys, zero) -> list:
 
     Zero coefficients and zero entries of `polys` are skipped; `zero` is the
     zero of the ring the result lives in.  `polys` may be polynomials or
-    scalars: with scalars this is the matrix-vector product grid * polys.
+    scalars: with scalars this is the matrix-vector product grid * polys,
+    which visits in each row only the columns of the nonzero scalars.
     """
     if isinstance(zero, MultiPoly):
         return sums_of_products(zero.field, zero.nvars,
                                 [[(1, p, c) for c, p in zip(row, polys)] for row in grid])
+    support = [(j, x) for j, x in enumerate(polys) if not x.is_zero()]
     out = []
     for row in grid:
         acc = zero
-        for coeff, poly in zip(row, polys):
-            if not coeff.is_zero() and not poly.is_zero():
-                acc = acc + poly * coeff
+        for j, x in support:
+            if not row[j].is_zero():
+                acc = acc + x * row[j]
         out.append(acc)
     return out
 
@@ -289,18 +279,21 @@ def change_basis(map_: PolyMap, inner, outer) -> PolyMap:
 
 
 def conjugation_grids(t_matrix: PolyMatrix, field: Field, n: int):
-    """The scalar grids of a constant n x n matrix T over `field` and of T^{-1}.
+    """The scalar grids, tuples of rows, of a constant n x n matrix T over `field`
+    and of T^{-1}.
 
-    The one place a conjugating T is inverted; raises ValueError when T is not
-    n x n or is singular.
+    The one place a conjugating T is inverted, once per matrix: T is immutable,
+    so it keeps both grids.  Raises ValueError when T is not n x n or is singular.
     """
     if not t_matrix.is_square or t_matrix.rows != n:
         raise ValueError("conjugation needs matching square shapes")
-    grid = t_matrix.constant_grid()
-    inv = linalg.invert(grid, field)
-    if inv is None:
-        raise ValueError("conjugating matrix is singular")
-    return grid, inv
+    if t_matrix._grids is None or t_matrix._grids[0] != field:
+        grid = t_matrix.constant_grid()
+        inv = linalg.invert(grid, field)
+        if inv is None:
+            raise ValueError("conjugating matrix is singular")
+        t_matrix._grids = field, tuple([tuple(r) for r in grid]), tuple([tuple(r) for r in inv])
+    return t_matrix._grids[1:]
 
 
 def conjugate(map_: PolyMap, t_matrix: PolyMatrix) -> PolyMap:
@@ -334,16 +327,9 @@ def _det_cofactor(grid, field, nvars):
 
 def _pick_pivot(grid, col, start):
     """Row index of a minimal-degree nonzero entry in the column; ties by row."""
-    best = None
-    best_deg = None
-    for i in range(start, len(grid)):
-        e = grid[i][col]
-        if e.is_zero():
-            continue
-        deg = e.degree()
-        if best is None or deg < best_deg:
-            best, best_deg = i, deg
-    return best
+    found = [(grid[i][col].degree(), i) for i in range(start, len(grid))
+             if not grid[i][col].is_zero()]
+    return min(found)[1] if found else None
 
 
 def matrix_det(matrix: PolyMatrix) -> MultiPoly:

@@ -10,6 +10,8 @@ a file, so no report is held whole as dicts or as a string.  A map file has
 at most 256 variables, and its min_poly has degree at most 64 and, from
 degree 2 on, must be proven irreducible (`field_from_json`); the library's
 `PolyMap` and `Field` have none of these bounds, nor `StarCertificate` a size bound.
+The readers of a map, certificate or matrix parse each distinct list of
+coefficient strings once per file and share its Scalar, which is immutable.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from json.encoder import encode_basestring_ascii as _quote
 
 from .exactfield import Field, Scalar, is_cyclotomic_or_eisenstein, rational_roots
-from .multipoly import LinearForm, MultiPoly
+from .multipoly import LinearForm, MultiPoly, _merged
 from .polymap import PolyMap, PolyMatrix
 from .properties import PropertyReport, StarCertificate
 
@@ -84,12 +86,34 @@ def _natural(value, what: str) -> int:
     return value
 
 
+def _scalar_reader(field: Field):
+    """`scalar_from_json` for one file, parsing each distinct list of strings once."""
+    parsed = {}
+
+    def read(data):
+        if type(data) is not list or set(map(type, data)) != {str}:
+            return scalar_from_json(data, field)
+        key = tuple(data)  # a Scalar is never false: it defines no __bool__
+        return parsed.get(key) or parsed.setdefault(key, field.element(data))
+    return read
+
+
 def poly_from_json(data: dict, field: Field) -> MultiPoly:
-    nvars = _natural(data["nvars"], "nvars")
-    items = [(tuple([_natural(e, "exponent") for e in t["exps"]]),
-              scalar_from_json(t["coeff"], field))
-             for t in data["terms"]]
-    return MultiPoly.from_terms(field, nvars, items)
+    return _read_poly(data, field, _scalar_reader(field))
+
+
+def _read_poly(data: dict, field: Field, read) -> MultiPoly:
+    """`MultiPoly.from_terms` on the terms, coefficients parsed by `read`; a list of
+    plain non-negative ints skips `_natural`."""
+    nvars, items = _natural(data["nvars"], "nvars"), []
+    for t in data["terms"]:
+        exps = t["exps"]
+        if not (type(exps) is list and set(map(type, exps)) <= {int} and min(exps, default=0) >= 0):
+            exps = [_natural(e, "exponent") for e in exps]
+        items.append((tuple(exps), read(t["coeff"])))
+    if {len(e) for e, _ in items} - {nvars}:
+        raise ValueError("bad exponent vector")
+    return MultiPoly(field, nvars, _merged({}, items))
 
 
 def map_to_json(map_: PolyMap, poly=poly_to_json) -> dict:
@@ -110,7 +134,8 @@ def map_from_json(data: dict) -> PolyMap:
     if nvars > _MAX_NVARS:
         raise ValueError(f"nvars is {nvars}, above the map-file bound {_MAX_NVARS}")
     field = field_from_json(data["field"])
-    comps = [poly_from_json(c, field) for c in data["components"]]
+    read = _scalar_reader(field)
+    comps = [_read_poly(c, field, read) for c in data["components"]]
     if any(raw["nvars"] != nvars for raw in data["components"]):
         raise ValueError("component nvars disagrees with the map")
     return PolyMap(comps)
@@ -124,9 +149,9 @@ def matrix_to_json(matrix: PolyMatrix) -> dict:
 
 
 def matrix_from_json(data: dict, field: Field) -> PolyMatrix:
-    nvars = data.get("nvars", data["cols"])
-    return PolyMatrix([[poly_from_json(e, field) if isinstance(e, dict)
-                        else MultiPoly.constant(field, nvars, scalar_from_json(e, field))
+    nvars, read = data.get("nvars", data["cols"]), _scalar_reader(field)
+    return PolyMatrix([[_read_poly(e, field, read) if isinstance(e, dict)
+                        else MultiPoly.constant(field, nvars, read(e))
                         for e in row] for row in data["entries"]])
 
 
@@ -143,10 +168,10 @@ _MAX_CERTIFICATE_WEIGHT = 10 ** 6
 
 def certificate_from_json(data: dict, field: Field) -> StarCertificate:
     """ValueError past _MAX_CERTIFICATE_WEIGHT, before any power is expanded."""
-    triples, weight = [], 0
+    triples, weight, read = [], 0, _scalar_reader(field)
     for t in data["triples"]:
-        c = LinearForm(field, [scalar_from_json(v, field) for v in t["c"]])
-        b = [scalar_from_json(v, field) for v in t["b"]]
+        c = LinearForm(field, [read(v) for v in t["c"]])
+        b = [read(v) for v in t["b"]]
         d, k = _natural(t["d"], "certificate power d"), sum(not v.is_zero() for v in c.coeffs)
         weight += d * math.comb(d + k - 1, d) if k else 0
         if weight > _MAX_CERTIFICATE_WEIGHT:
@@ -230,13 +255,19 @@ def _write(value, newline, emit):
 
 
 def _poly_text(poly: MultiPoly, newline: str) -> str:
-    """`poly_to_json(poly)` as `_write` emits it, through one template per term."""
+    """`poly_to_json(poly)` as `_write` emits it, through one template per term: a
+    rational coefficient is written from its reduced numerator and denominator."""
     i1, i2, i3, i4 = (newline + "  " * k for k in range(1, 5))
-    # "%.0s" swallows the empty exponent text of a polynomial in no variables
-    term = (f'{{{i3}"coeff": [{i4}"%s"{i3}],{i3}"exps": '
-            + (f"[{i4}%s{i3}]" if poly.nvars else "[]%.0s") + i2 + "}")
-    sep, comma = f'",{i4}"', "," + i4
-    terms = ("," + i2).join([term % (sep.join(c.texts()), comma.join(map(str, e)))
-                             for e, c in sorted(poly.terms.items())])
+    exps = f"[{i4}" + ("," + i4).join(["%d"] * poly.nvars) + f"{i3}]" if poly.nvars else "[]"
+    head, tail = f'{{{i3}"coeff": [{i4}"', f'"{i3}],{i3}"exps": {exps}{i2}}}'
+    items = sorted(poly.terms.items())
+    if poly.field.is_rational:
+        whole, ratio = head + "%d" + tail, head + "%d/%d" + tail
+        texts = [whole % (c.nums[0], *e) if c.den == 1 else ratio % (c.nums[0], c.den, *e)
+                 for e, c in items]
+    else:
+        term, sep = head + "%s" + tail, f'",{i4}"'
+        texts = [term % (sep.join(c.texts()), *e) for e, c in items]
+    terms = ("," + i2).join(texts)
     return (f'{{{i1}"nvars": {poly.nvars},{i1}"terms": '
             + (f"[{i2}{terms}{i1}]" if terms else "[]") + newline + "}")

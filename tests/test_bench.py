@@ -26,7 +26,9 @@ def test_every_microbench_kernel_runs_once():
             "matrix_power_q", "sum_condition_det_q", "change_basis_f666_d4",
             "report_dumps_f666_d5", "sum_condition_conj_n4_d3",
             "adapted_basis_f666_d4", "adapted_basis_f667_d5", "map_from_json_f667_d6",
-            "numerators_adapted_basis_f667_d5", "sum_vanishes_at_n4_d6"} <= set(names)
+            "numerators_adapted_basis_f667_d5", "sum_vanishes_at_n4_d6",
+            "certificate_from_json_f667_d6", "round_trip_f666_d6",
+            "identity_pl667_d9"} <= set(names)
     for name, call, number in kernels:
         assert number >= 1, name
         call()

@@ -124,6 +124,54 @@ def test_sums_of_products_match_the_loop_fuzz():
         _check_sums(field, nvars, [_random_sum(rng, field, nvars) for _ in range(rng.randint(1, 3))])
 
 
+def _check_integer_form(poly, reference):
+    """A kernel result in integer form: D > 0, content gcd 1, no zero coordinate
+    vector; its terms, built from that form, equal the Scalar reference."""
+    den, items = poly._ints
+    assert den > 0
+    assert math.gcd(den, *[x for _, c in items for _, x in c]) == 1
+    assert all(c and all(x and 0 <= i < poly.field.degree for i, x in c) for _, c in items)
+    assert [i for _, c in items for i, _ in c] == [i for _, c in items for i, _ in sorted(c)]
+    assert len({e for e, _ in items}) == len(items)
+    assert poly.terms == reference.terms and poly._ints is None
+    _check_canonical(poly)
+
+
+def test_kernel_outputs_are_canonical_integer_forms_fuzz():
+    rng = random.Random(2424)
+    for trial in range(200):
+        field = _POWER_RINGS[trial % len(_POWER_RINGS)]
+        nvars = rng.randint(1, 3)
+        sums = [_random_sum(rng, field, nvars) for _ in range(rng.randint(1, 3))]
+        outputs = sums_of_products(field, nvars, sums)
+        for poly, items in zip(outputs, sums):
+            _check_integer_form(poly, _loop_sum(field, nvars, items))
+        # kernel outputs fed back, still in integer form, and powers of affine forms
+        outputs = sums_of_products(field, nvars, sums)
+        chained = sums_of_products(field, nvars, [[(1, a, b) for a in outputs for b in outputs]])[0]
+        _check_integer_form(chained, _loop_sum(field, nvars, [
+            (1, a, b) for a in sums_of_products(field, nvars, sums)
+            for b in sums_of_products(field, nvars, sums)]))
+        affine = _random_affine(rng, field, nvars)
+        if field.scale == 1 and not affine.is_zero():
+            d = rng.randint(2, 5)
+            _check_integer_form(affine ** d, _repeated_product(affine, d))
+
+
+def test_only_multipoly_reads_the_integer_form():
+    import ast
+    import pathlib
+
+    import kellerlab
+
+    found = [(path.name, node.lineno)
+             for path in sorted(pathlib.Path(kellerlab.__file__).parent.glob("*.py"))
+             if path.name != "multipoly.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "_ints"]
+    assert not found
+
+
 def test_sums_of_products_edge_cases():
     field = Field([Fraction(9, 2), 0, 1])
     x, y = (MultiPoly.variable(field, 2, i) for i in range(2))

@@ -11,7 +11,7 @@ from kellerlab.multipoly import MultiPoly, variables
 from kellerlab.polymap import (PolyMap, PolyMatrix, conjugate, hadamard_power_map,
                                invert_triangular, jacobian, map_compose,
                                matrix_det, matrix_is_nilpotent, matrix_rank,
-                               nonlinear_part, plus_identity)
+                               nonlinear_part, plus_identity, linear_combinations)
 from kellerlab.constructions import FamilySpec, make_family
 
 
@@ -329,3 +329,55 @@ def test_change_basis_conjugates_and_undoes():
     hidden = change_basis(h, grid, inv)
     assert hidden == conjugate(h, t) != h
     assert change_basis(hidden, inv, grid) == h
+
+
+def _dense_linear_combinations(grid, values, zero):
+    """The scalar mat-vec loop `linear_combinations` replaced: every column visited."""
+    out = []
+    for row in grid:
+        acc = zero
+        for coeff, value in zip(row, values):
+            if not coeff.is_zero() and not value.is_zero():
+                acc = acc + value * coeff
+        out.append(acc)
+    return out
+
+
+def test_sparse_scalar_linear_combinations_match_the_dense_loop():
+    rng = random.Random(2400)
+    for trial in range(200):
+        field = (QQ, Field([1, 1, 1]), Field([Fraction(25, 4), 0, 1]))[trial % 3]
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+
+        def scalar(rate):
+            if rng.random() < rate:
+                return field.zero()
+            return field.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                  for _ in range(field.degree)])
+
+        rate = rng.choice([0, 0.5, 0.9, 1])  # 1: zero rows and a zero vector
+        grid = [[scalar(rate) for _ in range(cols)] for _ in range(rows)]
+        vector = [scalar(rng.choice([0, 0.5, 1])) for _ in range(cols)]
+        got = linear_combinations(grid, vector, field.zero())
+        want = _dense_linear_combinations(grid, vector, field.zero())
+        assert [(v.nums, v.den) for v in got] == [(v.nums, v.den) for v in want]
+        # the transposed grid as an iterator of tuples, as T^t c is formed
+        got = linear_combinations(zip(*grid), vector[:rows], field.zero())
+        assert got == _dense_linear_combinations(list(zip(*grid)), vector[:rows], field.zero())
+
+
+def test_rank_without_inverses_matches_the_rref_pivot_count():
+    from kellerlab import linalg
+
+    rng = random.Random(2401)
+    for trial in range(200):
+        field = (QQ, Field([1, 1, 1]), Field([Fraction(25, 4), 0, 1]))[trial % 3]
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        grid = [[field.zero() if rng.random() < 0.4 else field.element(
+            [rng.randint(-3, 3) for _ in range(field.degree)]) for _ in range(cols)]
+            for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:  # a row the others span over the field
+            c = field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+            grid[-1] = [a * c + b for a, b in zip(grid[0], grid[1])]
+        assert linalg.rank(grid) == len(linalg.rref(grid)[1])
+    assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0

@@ -873,13 +873,14 @@ def test_univariate_rational_roots_passes_the_sparse_terms(monkeypatch):
 
 
 def test_certificate_round_trip_inverts_t_once(monkeypatch):
-    # the conjugation and the rows T^{-t} gamma share one T^{-1}
+    # certificate -> T -> certificate: the term re-checks, the conjugation and the
+    # rows T^{-t} gamma all share the one T^{-1} that T keeps
     spec = FamilySpec("f666", 3, nu=1)
     h, cert = make_family(spec), family_certificate(spec)
-    t_matrix = triangularization_from_certificate(cert, h.nvars)
     calls = []
     invert = linalg.invert
     monkeypatch.setattr(linalg, "invert", lambda *args: calls.append(args) or invert(*args))
+    t_matrix = triangularization_from_certificate(cert, h.nvars)
     back = certificate_from_triangularization(h, t_matrix)
     assert len(calls) == 1
     assert verify_star_certificate(h, back)

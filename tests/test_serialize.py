@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -395,3 +396,108 @@ def test_certificate_bound_refuses_a_huge_power_before_expanding_it():
         with pytest.raises(ValueError, match="certificate powers weigh more than 1000000"):
             serialize.certificate_from_json(cert(d, c), QQ)
     assert time.perf_counter() - start < 0.5
+
+
+# -- the shared-parse readers against the bodies they replaced ------------------
+
+def _reference_poly_from_json(data, field):
+    nvars = serialize._natural(data["nvars"], "nvars")
+    items = [(tuple([serialize._natural(e, "exponent") for e in t["exps"]]),
+              serialize.scalar_from_json(t["coeff"], field))
+             for t in data["terms"]]
+    return MultiPoly.from_terms(field, nvars, items)
+
+
+def _reference_certificate_from_json(data, field):
+    triples, weight = [], 0
+    for t in data["triples"]:
+        c = LinearForm(field, [serialize.scalar_from_json(v, field) for v in t["c"]])
+        b = [serialize.scalar_from_json(v, field) for v in t["b"]]
+        d = serialize._natural(t["d"], "certificate power d")
+        k, bound = sum(not v.is_zero() for v in c.coeffs), serialize._MAX_CERTIFICATE_WEIGHT
+        weight += d * math.comb(d + k - 1, d) if k else 0
+        if weight > bound:
+            raise ValueError(f"certificate powers weigh more than {bound}")
+        triples.append((c, d, b))
+    return StarCertificate(data["level"], triples)
+
+
+def _result(read, *args):
+    """A read's value, or the type and message of what it raised."""
+    try:
+        return read(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+def _same_scalars(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    if isinstance(want, MultiPoly):
+        return (got.nvars, list(got.terms.items())) == (want.nvars, list(want.terms.items())) \
+            and all((a.nums, a.den) == (b.nums, b.den) for a, b in zip(got.terms.values(),
+                                                                       want.terms.values()))
+    return got == want and all((a.nums, a.den) == (b.nums, b.den)
+                               for (c1, _, b1), (c2, _, b2) in zip(got.triples, want.triples)
+                               for a, b in zip([*c1.coeffs, *b1], [*c2.coeffs, *b2]))
+
+
+# what the tests already refuse or merge: bools, floats, bad texts, negative and
+# non-list exponents, wrong lengths, duplicate monomials, zero coefficients
+_BAD_VALUES = [True, False, 2.0, 1.5, "1/0", " 3", "1e3", "x", None, [1], {"1": 0}, -1, 0, 1, "2/4",
+               ["1", "2"], ["0"], ["3/6", "0"], ["1"] * 30, []]
+_EXPS = [[2, 0], [0, 1], [1, 1], [-1, 0], [0, True], [0, 1.0], [0], [0, 0, 1], "12", "", 7, None,
+         {"0": 1}, [0, "1"], [10 ** 30, 0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, Field(cyclotomic(5)), Field([Fraction(25, 4), 0, 1])]),
+       st.lists(st.tuples(st.sampled_from(_EXPS), st.one_of(
+           st.sampled_from(_BAD_VALUES), st.lists(st.sampled_from(
+               ["0", "1", "-1", "1/2", "3", 1, True, 1.0, [1], None]), max_size=3))), max_size=5))
+@example(QQ, [([2, 0], [1]), ([0, 1], [True])])  # equal keys: (1,) == (True,) == (1.0,)
+@example(QQ, [([2, 0], ["1"]), ([0, 1], ["1", [1]])])  # an unhashable coordinate
+def test_poly_reader_matches_the_reference_body(field, terms):
+    data = json.loads(json.dumps({"nvars": 2, "terms": [{"exps": e, "coeff": c} for e, c in terms]},
+                                 default=str))
+    want = _result(_reference_poly_from_json, data, field)
+    assert _same_scalars(_result(serialize.poly_from_json, data, field), want), (data, want)
+    # one reader for several polynomials, the way a map or matrix file is read
+    both = _result(serialize.matrix_from_json, {"rows": 1, "cols": 2, "nvars": 2,
+                                                "entries": [[data, data]]}, field)
+    if isinstance(want, tuple):
+        assert both == want
+    else:
+        assert all(_same_scalars(e, want) for e in both.entries[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, Field(cyclotomic(3))]),
+       st.lists(st.tuples(st.lists(st.sampled_from(["0", "1", "-2/3", ["1", "1"], ["0"], ["1"]]
+                                                   + _BAD_VALUES[:10]), min_size=2, max_size=2),
+                          st.one_of(st.integers(0, 3), st.sampled_from([True, -1, 2.0, "2"])),
+                          st.lists(st.sampled_from([["1"], ["0"], ["-1"], ["1/2", "1"], "1"]),
+                                   min_size=2, max_size=2)), max_size=4))
+def test_certificate_reader_matches_the_reference_body(field, triples):
+    data = json.loads(json.dumps({"level": "star", "triples": [
+        {"c": c, "d": d, "b": b} for c, d, b in triples]}))
+    want = _result(_reference_certificate_from_json, data, field)
+    assert _same_scalars(_result(serialize.certificate_from_json, data, field), want), (data, want)
+
+
+def test_readers_match_the_reference_on_family_files():
+    for spec in (FamilySpec("f666", 4), FamilySpec("f667", 4), FamilySpec("small3", 3)):
+        h = json.loads(serialize.dumps(serialize.map_to_json(make_family(spec))))
+        cert = json.loads(serialize.dumps(serialize.certificate_to_json(family_certificate(spec))))
+        got = serialize.map_from_json(h)
+        for raw, comp in zip(h["components"], got.components):
+            assert _same_scalars(comp, _reference_poly_from_json(raw, got.field))
+        assert _same_scalars(serialize.certificate_from_json(cert, got.field),
+                             _reference_certificate_from_json(cert, got.field))
+
+
+def test_reader_shares_one_scalar_per_distinct_coefficient():
+    x1, x2 = variables(QQ, 2)
+    h = serialize.map_from_json(serialize.map_to_json(PolyMap([x1 ** 2 * 3 + x2, x2 * 3])))
+    threes = {id(c) for comp in h.components for c in comp.terms.values() if c == 3}
+    assert len(threes) == 1
